@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <mutex>
@@ -18,104 +17,11 @@
 #include "htm/abort.hh"
 #include "result_store.hh"
 #include "sim/journal_io.hh"
-#include "sim/snapshot.hh"
 
 namespace hintm
 {
 namespace bench
 {
-
-BenchArgs
-BenchArgs::parse(int argc, char **argv)
-{
-    BenchArgs a;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--tiny") {
-            a.scale = workloads::Scale::Tiny;
-            a.scaleExplicit = true;
-        } else if (arg == "--small") {
-            a.scale = workloads::Scale::Small;
-            a.scaleExplicit = true;
-        } else if (arg == "--large") {
-            a.scale = workloads::Scale::Large;
-            a.scaleExplicit = true;
-        } else if (arg == "--preserve") {
-            a.preserve = true;
-        } else if (arg == "--workload" && i + 1 < argc) {
-            a.only.push_back(argv[++i]);
-        } else if (arg == "--jobs" && i + 1 < argc) {
-            a.jobs = unsigned(std::strtoul(argv[++i], nullptr, 0));
-        } else if (arg == "--json" && i + 1 < argc) {
-            a.jsonPath = argv[++i];
-        } else if (arg == "--no-snoop-filter") {
-            a.noSnoopFilter = true;
-            core::SystemOptions::setSnoopFilterDefault(false);
-        } else if (arg == "--no-directory") {
-            a.noDirectory = true;
-            core::SystemOptions::setDirectoryDefault(false);
-        } else if (arg == "--no-decode-cache") {
-            a.noDecodeCache = true;
-            core::SystemOptions::setDecodeCacheDefault(false);
-        } else if (arg == "--no-sched-index") {
-            a.noSchedIndex = true;
-            core::SystemOptions::setSchedIndexDefault(false);
-        } else if (arg == "--lint") {
-            a.lint = true;
-            setLintOnPrepare(true);
-        } else if (arg == "--journal") {
-            a.journal = true;
-        } else if (arg == "--metrics") {
-            a.metrics = true;
-        } else if (arg == "--perfetto") {
-            a.perfettoPath = "perfetto_trace.json";
-            if (i + 1 < argc && argv[i + 1][0] != '-')
-                a.perfettoPath = argv[++i];
-            a.journal = true; // a timeline needs records
-        } else if (arg == "--stats-json") {
-            a.statsJsonPath = "stats.json";
-            if (i + 1 < argc && argv[i + 1][0] != '-')
-                a.statsJsonPath = argv[++i];
-        } else if (arg == "--cache-dir" && i + 1 < argc) {
-            a.cacheDir = argv[++i];
-        } else if (arg == "--no-disk-cache") {
-            a.noDiskCache = true;
-        } else if (arg == "--cache-clear") {
-            a.cacheClear = true;
-        } else if (arg == "--no-prefix-fork") {
-            a.noPrefixFork = true;
-        } else if (arg == "--help") {
-            std::printf("options: [--tiny|--small|--large] [--preserve] "
-                        "[--workload NAME]... [--jobs N] [--json FILE] "
-                        "[--no-snoop-filter] [--no-directory] "
-                        "[--no-decode-cache] [--no-sched-index] "
-                        "[--lint] [--journal] [--metrics] "
-                        "[--perfetto [FILE]] "
-                        "[--stats-json [FILE]] [--cache-dir DIR] "
-                        "[--no-disk-cache] [--cache-clear] "
-                        "[--no-prefix-fork]\n");
-            std::exit(0);
-        } else {
-            HINTM_FATAL("unknown argument ", arg);
-        }
-    }
-    if (a.journal)
-        core::SystemOptions::setJournalDefault(true);
-    if (a.metrics)
-        core::SystemOptions::setMetricsDefault(true);
-    if (!a.jsonPath.empty())
-        setJsonReport(a.jsonPath);
-    if (!a.perfettoPath.empty() || !a.statsJsonPath.empty())
-        setObservabilityExport(a.perfettoPath, a.statsJsonPath);
-    const std::string cache_dir =
-        a.cacheDir.empty() ? ResultStore::defaultDir() : a.cacheDir;
-    if (a.cacheClear)
-        ResultStore::clearDir(cache_dir);
-    setDiskResultCache(cache_dir, !a.noDiskCache);
-    if (a.noPrefixFork)
-        setPrefixFork(false);
-    return a;
-}
 
 std::vector<std::string>
 BenchArgs::names() const
@@ -178,7 +84,6 @@ struct MatrixState
      * shared_ptr so a concurrent setDiskResultCache cannot pull the
      * store out from under an in-flight runMatrix. */
     std::shared_ptr<const ResultStore> disk;
-    bool prefixFork = true;
     /** Host workers of the most recent runMatrix (JSON summary). */
     unsigned lastEffectiveJobs = 0;
 
@@ -293,8 +198,7 @@ flushJsonReport()
     os << "  {\"summary\":true,\"jobs\":" << ejobs << ",\"cache\":{"
        << "\"hits\":" << cs.hits << ",\"misses\":" << cs.misses
        << ",\"deduped\":" << cs.deduped << ",\"disk_hits\":" << cs.diskHits
-       << ",\"disk_stores\":" << cs.diskStores << ",\"prefix_forks\":"
-       << cs.prefixForks << "}}\n";
+       << ",\"disk_stores\":" << cs.diskStores << "}}\n";
     os << "]\n";
 }
 
@@ -403,14 +307,6 @@ setDiskResultCache(const std::string &dir, bool enabled)
         dir, ResultStore::selfBinaryHash());
 }
 
-void
-setPrefixFork(bool on)
-{
-    MatrixState &st = state();
-    std::lock_guard<std::mutex> lock(st.mu);
-    st.prefixFork = on;
-}
-
 namespace
 {
 
@@ -489,11 +385,9 @@ runMatrix(const std::vector<MatrixJob> &jobs, unsigned host_jobs)
     }
     const unsigned workers = effectiveJobs(host_jobs, max_sim_threads);
     std::shared_ptr<const ResultStore> disk;
-    bool prefixFork;
     {
         std::lock_guard<std::mutex> lock(st.mu);
         disk = st.disk;
-        prefixFork = st.prefixFork;
         st.lastEffectiveJobs = workers;
         for (std::size_t i = 0; i < jobs.size(); ++i) {
             HINTM_ASSERT(jobs[i].wl != nullptr,
@@ -542,59 +436,12 @@ runMatrix(const std::vector<MatrixJob> &jobs, unsigned host_jobs)
         st.stats.misses += toSim.size();
     }
 
-    // Group the remaining simulations by shared init phase: the same
-    // workload/threads/seed/validateSafeStores means a bit-identical
-    // init, so one captured prefix can seed every config in the group
-    // (results stay bit-identical; locked by the snapshot tests).
-    std::vector<std::vector<std::size_t>> groups;
-    std::vector<const sim::MachinePrefix *> slotPrefix(jobs.size(),
-                                                       nullptr);
-    std::vector<std::size_t> slotGroup(jobs.size(), SIZE_MAX);
-    std::vector<std::shared_ptr<const sim::MachinePrefix>> prefixes;
-    std::vector<std::size_t> groupRemaining;
-    if (prefixFork && toSim.size() > 1) {
-        std::unordered_map<std::string, std::size_t> groupOf;
-        for (std::size_t i : toSim) {
-            std::ostringstream gk;
-            gk << static_cast<const void *>(jobs[i].wl) << '|'
-               << jobThreads(jobs[i]) << '|' << jobs[i].opts.seed
-               << '|' << jobs[i].opts.validateSafeStores;
-            const auto [it, fresh] =
-                groupOf.emplace(gk.str(), groups.size());
-            if (fresh)
-                groups.emplace_back();
-            groups[it->second].push_back(i);
-        }
-        // Singleton groups gain nothing from a prefix: drop them and
-        // let those jobs cold-start as before.
-        groups.erase(
-            std::remove_if(groups.begin(), groups.end(),
-                           [](const std::vector<std::size_t> &g) {
-                               return g.size() < 2;
-                           }),
-            groups.end());
-        prefixes.resize(groups.size());
-        parallelFor(workers, groups.size(), [&](std::size_t g) {
-            const MatrixJob &job = jobs[groups[g][0]];
-            prefixes[g] = core::buildPrefix(job.opts, job.wl->wl.module,
-                                            jobThreads(job));
-        });
-        groupRemaining.resize(groups.size());
-        for (std::size_t g = 0; g < groups.size(); ++g) {
-            groupRemaining[g] = groups[g].size();
-            for (std::size_t i : groups[g]) {
-                slotPrefix[i] = prefixes[g].get();
-                slotGroup[i] = g;
-            }
-        }
-    }
-
     parallelFor(workers, toSim.size(), [&](std::size_t k) {
         const std::size_t i = toSim[k];
         const MatrixJob &job = jobs[i];
         const auto t0 = std::chrono::steady_clock::now();
         results[i] = core::simulate(job.opts, job.wl->wl.module,
-                                    jobThreads(job), slotPrefix[i]);
+                                    jobThreads(job));
         const double wall_ms =
             std::chrono::duration<double, std::milli>(
                 std::chrono::steady_clock::now() - t0)
@@ -608,14 +455,6 @@ runMatrix(const std::vector<MatrixJob> &jobs, unsigned host_jobs)
             ++st.stats.diskStores;
         }
         std::lock_guard<std::mutex> lock(st.mu);
-        if (slotPrefix[i]) {
-            ++st.stats.prefixForks;
-            // Drop a group's prefix once its last fork has run: a
-            // 64-thread machine image is too big to hold for the rest
-            // of a long sweep.
-            if (--groupRemaining[slotGroup[i]] == 0)
-                prefixes[slotGroup[i]].reset();
-        }
         st.cache.emplace(keys[i], results[i]);
     });
 

@@ -21,7 +21,8 @@ namespace hintm
 namespace bench
 {
 
-/** Command-line options shared by all harnesses. */
+/** Command-line options shared by all harnesses (flag table:
+ * cli::addBenchFlags). */
 struct BenchArgs
 {
     workloads::Scale scale = workloads::Scale::Small;
@@ -32,58 +33,20 @@ struct BenchArgs
     bool preserve = false;
     /** Concurrent simulations (0 = hardware concurrency). */
     unsigned jobs = 0;
-    /** When non-empty, a per-run perf report is written here at exit. */
-    std::string jsonPath;
-    /** --no-snoop-filter: run the reference broadcast memory path
-     * (cross-check mode; also flips the process-wide default). */
-    bool noSnoopFilter = false;
-    /** --no-directory: broadcast coherence instead of the owning
-     * directory (cross-check mode; flips the process-wide default).
-     * Narrower than --no-snoop-filter, which also disables the
-     * translation cache. */
-    bool noDirectory = false;
-    /** --no-decode-cache: run the reference Instr-walking interpreter
-     * (cross-check mode; also flips the process-wide default). */
-    bool noDecodeCache = false;
-    /** --no-sched-index: run the reference O(contexts) scheduler scan
-     * instead of the event-driven ready-context index (cross-check
-     * mode; also flips the process-wide default). */
-    bool noSchedIndex = false;
-    /** --lint: run the static race-lint pass over every workload as it
-     * is prepared and abort on any diagnostic (soundness gate). */
-    bool lint = false;
     /** --journal: record every TX attempt (flips the process-wide
-     * SystemOptions default; observation only, results bit-identical). */
+     * SystemOptions default; observation only, results bit-identical).
+     * Also set by --perfetto. */
     bool journal = false;
-    /** --metrics: fold capacity-pressure metrics into every run (flips
-     * the process-wide SystemOptions default; observation only, results
-     * bit-identical). */
-    bool metrics = false;
-    /** --perfetto [FILE]: write a Chrome-trace timeline of every
-     * journal-carrying run at exit (implies --journal). */
-    std::string perfettoPath;
-    /** --stats-json [FILE]: write machine-readable per-run stats
-     * records at exit (journal sections when --journal is on). */
-    std::string statsJsonPath;
-    /** --cache-dir DIR: persistent result-cache location (default:
-     * $XDG_CACHE_HOME/hintm or ~/.cache/hintm). */
-    std::string cacheDir;
-    /** --no-disk-cache: run without the persistent result cache. */
-    bool noDiskCache = false;
-    /** --cache-clear: wipe the cache directory before running. */
-    bool cacheClear = false;
-    /** --no-prefix-fork: cold-start every simulation instead of forking
-     * groups from a shared init-phase prefix (A/B escape hatch). */
-    bool noPrefixFork = false;
 
+    /** Parse the harness flags; prints usage and exits 0 on --help, or
+     * a diagnostic and exits 2 on a bad argument. */
     static BenchArgs parse(int argc, char **argv);
     std::vector<std::string> names() const;
 };
 
-/** Process-wide switch behind BenchArgs::lint: when on, prepare()
- * re-derives the race obligations after hint compilation and fatals on
- * any diagnostic. Exposed so drivers with their own argument parsing
- * (hintm_run) can enable the same gate. */
+/** Process-wide switch behind --lint: when on, prepare() re-derives the
+ * race obligations after hint compilation and fatals on any
+ * diagnostic. */
 void setLintOnPrepare(bool on);
 
 /** A workload with hints compiled once, reusable across configs. */
@@ -121,10 +84,7 @@ struct MatrixJob
  * threads) jobs — within this call or across calls — simulate once:
  * duplicates are deduped before scheduling, completed runs are served
  * from a process-wide cache, and (when configured via
- * setDiskResultCache) from the persistent on-disk store. Jobs sharing a
- * workload/thread-count/seed run their init phase once and fork the
- * divergent configs from the captured prefix; results stay
- * bit-identical (property-test-locked).
+ * setDiskResultCache) from the persistent on-disk store.
  */
 std::vector<sim::RunResult> runMatrix(const std::vector<MatrixJob> &jobs,
                                       unsigned host_jobs = 0);
@@ -142,15 +102,11 @@ std::string matrixJobKey(const MatrixJob &job);
 /**
  * Configure the persistent result cache behind runMatrix. Disabled
  * until called (library default), so tests and embedders are hermetic;
- * BenchArgs::parse enables it for every harness binary unless
+ * the cache flag group (cli::addCache) enables it unless
  * --no-disk-cache is given. An empty @p dir disables regardless of
  * @p enabled.
  */
 void setDiskResultCache(const std::string &dir, bool enabled);
-
-/** Enable/disable init-phase prefix forking in runMatrix (default on;
- * --no-prefix-fork clears it for A/B comparisons). */
-void setPrefixFork(bool on);
 
 /**
  * Host worker threads runMatrix will actually use for @p requested
@@ -178,8 +134,6 @@ struct MatrixCacheStats
     std::uint64_t diskHits = 0;
     /** Fresh results persisted to the on-disk store. */
     std::uint64_t diskStores = 0;
-    /** Simulations seeded from a shared init-phase prefix. */
-    std::uint64_t prefixForks = 0;
 };
 
 MatrixCacheStats matrixCacheStats();
@@ -191,8 +145,7 @@ void clearMatrixCache();
 /**
  * Arrange for a JSON array of per-run perf records (workload, config,
  * host wall-time, simulated cycles, instructions, abort breakdown) to
- * be written to @p path when the process exits. Called automatically by
- * BenchArgs::parse for --json.
+ * be written to @p path when the process exits (--json).
  */
 void setJsonReport(const std::string &path);
 
@@ -202,8 +155,7 @@ void setJsonReport(const std::string &path);
  * per run) and/or a stats-JSON array (@p stats_path, one record per
  * run, journal sections included when runs carried journals). Either
  * path may be empty. Runs executed through runMatrix/run after this
- * call are collected; called automatically by BenchArgs::parse for
- * --perfetto / --stats-json.
+ * call are collected (--perfetto / --stats-json).
  */
 void setObservabilityExport(const std::string &perfetto_path,
                             const std::string &stats_path);

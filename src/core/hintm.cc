@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "common/logging.hh"
-#include "sim/snapshot.hh"
 
 namespace hintm
 {
@@ -115,6 +114,32 @@ SystemOptions::label() const
     return s;
 }
 
+std::vector<std::string>
+SystemOptions::validate(unsigned threads) const
+{
+    std::vector<std::string> errs;
+    if (numCores < 1)
+        errs.push_back("the core count must be at least 1");
+    if (smtPerCore < 1)
+        errs.push_back("SMT contexts per core must be at least 1");
+    if (numCores >= 1 && smtPerCore >= 1 &&
+        threads > std::uint64_t(numCores) * smtPerCore) {
+        errs.push_back(detail::concat(
+            threads, " threads exceed the ",
+            std::uint64_t(numCores) * smtPerCore,
+            " hardware contexts (cores x SMT)"));
+    }
+    if (htmKind == htm::HtmKind::P8S &&
+        (signatureBits == 0 || (signatureBits & (signatureBits - 1)))) {
+        errs.push_back(detail::concat("a P8S signature of ", signatureBits,
+                                      " bits must be a non-zero power "
+                                      "of two"));
+    }
+    if (numaNodes < 1)
+        errs.push_back("the NUMA node count must be at least 1");
+    return errs;
+}
+
 sim::MachineConfig
 makeMachineConfig(const SystemOptions &opts)
 {
@@ -171,29 +196,6 @@ simulate(const SystemOptions &opts, const tir::Module &mod,
          unsigned threads)
 {
     return sim::runMachine(makeMachineConfig(opts), mod, threads);
-}
-
-std::shared_ptr<const sim::MachinePrefix>
-buildPrefix(const SystemOptions &opts, const tir::Module &mod,
-            unsigned threads)
-{
-    // The prefix is deliberately built from a sanitized config:
-    // observation features play no part in the init phase, and leaving
-    // them off keeps one prefix valid for every fork in a sweep.
-    SystemOptions base = opts;
-    base.journal = false;
-    base.metrics = false;
-    base.hintOracle = false;
-    base.collectRawStats = false;
-    return std::make_shared<sim::MachinePrefix>(
-        sim::buildMachinePrefix(makeMachineConfig(base), mod, threads));
-}
-
-sim::RunResult
-simulate(const SystemOptions &opts, const tir::Module &mod,
-         unsigned threads, const sim::MachinePrefix *prefix)
-{
-    return sim::runMachine(makeMachineConfig(opts), mod, threads, prefix);
 }
 
 std::string

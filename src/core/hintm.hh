@@ -9,8 +9,8 @@
 #ifndef HINTM_CORE_HINTM_HH
 #define HINTM_CORE_HINTM_HH
 
-#include <memory>
 #include <string>
+#include <vector>
 
 #include "compiler/safety.hh"
 #include "sim/machine.hh"
@@ -18,11 +18,6 @@
 
 namespace hintm
 {
-namespace sim
-{
-struct MachinePrefix; // sim/snapshot.hh
-}
-
 namespace core
 {
 
@@ -114,6 +109,15 @@ struct SystemOptions
 
     std::string label() const;
 
+    /**
+     * Configuration errors that would otherwise trip an assertion deep
+     * in machine construction, as one-line diagnostics (empty = valid).
+     * @p threads is the simulated thread count (0 = not yet known; the
+     * contexts check is skipped). Called at the command-line boundary,
+     * not by makeMachineConfig.
+     */
+    std::vector<std::string> validate(unsigned threads = 0) const;
+
     /** Process-wide default for SystemOptions::snoopFilter, so drivers
      * can flip every subsequently-built config (--no-snoop-filter). */
     static bool snoopFilterDefault();
@@ -155,22 +159,6 @@ compiler::SafetyReport compileHints(tir::Module &mod);
  */
 sim::RunResult simulate(const SystemOptions &opts, const tir::Module &mod,
                         unsigned threads);
-
-/**
- * Run @p mod's init phase once and capture it as a fork point. The
- * returned prefix seeds simulate() calls for any options sharing this
- * module, thread count, seed and validateSafeStores setting — backend,
- * mechanism and observation options may differ per fork.
- */
-std::shared_ptr<const sim::MachinePrefix>
-buildPrefix(const SystemOptions &opts, const tir::Module &mod,
-            unsigned threads);
-
-/** simulate(), skipping the init phase via a captured prefix (null
- * falls back to a cold start). */
-sim::RunResult simulate(const SystemOptions &opts, const tir::Module &mod,
-                        unsigned threads,
-                        const sim::MachinePrefix *prefix);
 
 /** Multi-line description of the configuration (Table II dump). */
 std::string describeConfig(const sim::MachineConfig &cfg);

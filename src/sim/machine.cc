@@ -73,7 +73,7 @@ class Machine
 {
   public:
     Machine(const MachineConfig &cfg, const tir::Module &module,
-            unsigned num_threads, const MachinePrefix *prefix = nullptr)
+            unsigned num_threads)
         : cfg_(cfg),
           prog_(module, num_threads, cfg.seed, cfg.decodeCache),
           moduleTag_(&module),
@@ -127,24 +127,7 @@ class Machine
                 };
         }
 
-        if (prefix) {
-            // Forked start: install the captured init-phase state
-            // instead of re-running init. The replayed annotations
-            // rebuild the page table exactly as the init phase would
-            // (no TLB exists yet in either ordering).
-            HINTM_ASSERT(prefix->moduleTag == moduleTag_ &&
-                             prefix->numThreads == num_threads &&
-                             prefix->seed == cfg.seed &&
-                             prefix->validateSafeStores ==
-                                 cfg.validateSafeStores,
-                         "machine prefix does not match this config");
-            prog_.loadState(prefix->program);
-            for (const auto &[base, len] : prefix->annotations)
-                vm_->annotateRange(base, len);
-            initAnnotations_ = prefix->annotations;
-        } else {
-            runInitPhase(module);
-        }
+        runInitPhase(module);
         for (unsigned t = 0; t < num_threads; ++t) {
             const int mem_ctx = mem_->addContext(t % cfg.numCores);
             const int vm_ctx = vm_->addContext();
@@ -467,21 +450,6 @@ class Machine
         return true;
     }
 
-    /** Capture the init-phase fork point (valid straight after
-     * construction, before any stepOnce). */
-    MachinePrefix
-    capturePrefix() const
-    {
-        MachinePrefix p;
-        p.program = prog_.saveState();
-        p.annotations = initAnnotations_;
-        p.numThreads = unsigned(ctxs_.size());
-        p.seed = cfg_.seed;
-        p.validateSafeStores = cfg_.validateSafeStores;
-        p.moduleTag = moduleTag_;
-        return p;
-    }
-
     MachineSnapshot
     snapshot() const
     {
@@ -627,7 +595,6 @@ class Machine
                 HINTM_FATAL("barrier in init function");
               case tir::StepKind::Annotate:
                 vm_->annotateRange(st.addr, st.annotateLen);
-                initAnnotations_.emplace_back(st.addr, st.annotateLen);
                 init.passAnnotate();
                 break;
               case tir::StepKind::Done:
@@ -1428,8 +1395,6 @@ class Machine
     std::uint64_t shootdownCycles_ = 0;
     SharingProfiler profiler_;
     RunResult res_;
-    /** Annotate calls made by the init phase (prefix capture/replay). */
-    std::vector<std::pair<Addr, std::uint64_t>> initAnnotations_;
     /** Scheduler clock + round-robin cursor (members so a run can be
      * interrupted for snapshotting and resumed). */
     Cycle now_ = 0;
@@ -1460,27 +1425,11 @@ runMachine(const MachineConfig &cfg, const tir::Module &module,
     return m.run();
 }
 
-RunResult
-runMachine(const MachineConfig &cfg, const tir::Module &module,
-           unsigned num_threads, const MachinePrefix *prefix)
-{
-    Machine m(cfg, module, num_threads, prefix);
-    return m.run();
-}
-
-MachinePrefix
-buildMachinePrefix(const MachineConfig &cfg, const tir::Module &module,
-                   unsigned num_threads)
-{
-    const Machine m(cfg, module, num_threads);
-    return m.capturePrefix();
-}
-
 struct SimRun::Impl
 {
     Impl(const MachineConfig &cfg, const tir::Module &module,
-         unsigned num_threads, const MachinePrefix *prefix)
-        : machine(cfg, module, num_threads, prefix)
+         unsigned num_threads)
+        : machine(cfg, module, num_threads)
     {
     }
 
@@ -1488,8 +1437,8 @@ struct SimRun::Impl
 };
 
 SimRun::SimRun(const MachineConfig &cfg, const tir::Module &module,
-               unsigned num_threads, const MachinePrefix *prefix)
-    : impl_(std::make_unique<Impl>(cfg, module, num_threads, prefix))
+               unsigned num_threads)
+    : impl_(std::make_unique<Impl>(cfg, module, num_threads))
 {
 }
 

@@ -1,21 +1,13 @@
 /**
  * @file
- * Machine-state snapshot/fork for the sweep-throughput engine. Two
- * layers, matching how figure sweeps actually share work:
- *
- *  - MachinePrefix: the config-independent program state left behind by
- *    the init phase (memory image, allocator, RNG streams, page
- *    annotations). The init phase runs before any hardware context,
- *    cache or HTM controller exists, so its result can seed machines
- *    built with *different* backend/hint/observation configurations —
- *    one warmed prefix fans out into N divergent configs.
- *
- *  - MachineSnapshot: the complete state of a running machine (caches,
- *    snoop filter, VM/TLBs, HTM controllers, interpreter frames, partial
- *    results, journal, scheduler clock). Restoring into a machine built
- *    from the *same* configuration and resuming is bit-identical to
- *    never having stopped — property-test-locked like the
- *    --no-snoop-filter / --no-decode-cache equivalence checks.
+ * Machine-state snapshot/restore. A MachineSnapshot is the complete
+ * state of a running machine (caches, snoop filter, VM/TLBs, HTM
+ * controllers, interpreter frames, partial results, journal, scheduler
+ * clock). Restoring into a machine built from the *same* configuration
+ * and resuming is bit-identical to never having stopped —
+ * property-test-locked like the --no-snoop-filter / --no-decode-cache
+ * equivalence checks. The schedule explorer forks its branches this
+ * way.
  *
  * SimRun wraps the (internal) Machine with stepwise control so callers
  * can run partway, capture, restore and finish.
@@ -26,7 +18,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "common/flat_set.hh"
@@ -39,26 +30,6 @@ namespace hintm
 {
 namespace sim
 {
-
-/**
- * Post-init-phase program state, shareable across divergent machine
- * configurations. Valid for machines built from the same module with
- * the same thread count, seed and safe-store-validation mode; backend,
- * hint-mode, decode-cache and observation options may all differ (the
- * init phase never touches them).
- */
-struct MachinePrefix
-{
-    tir::Program::State program;
-    /** Annotate calls executed by the init phase, replayed into the VM
-     * of each forked machine (the VM exists per machine). */
-    std::vector<std::pair<Addr, std::uint64_t>> annotations;
-    unsigned numThreads = 0;
-    std::uint64_t seed = 0;
-    bool validateSafeStores = false;
-    /** Identity of the source module (forks must use the same one). */
-    const void *moduleTag = nullptr;
-};
 
 /** Snapshot of one hardware context's runtime state. */
 struct MachineContextSnapshot
@@ -115,13 +86,9 @@ struct MachineSnapshot
 class SimRun
 {
   public:
-    /**
-     * Build the machine. When @p prefix is non-null the init phase is
-     * skipped and its captured state installed instead (the prefix must
-     * match the module/threads/seed this machine is built with).
-     */
+    /** Build the machine and run its init phase. */
     SimRun(const MachineConfig &cfg, const tir::Module &module,
-           unsigned num_threads, const MachinePrefix *prefix = nullptr);
+           unsigned num_threads);
     ~SimRun();
 
     SimRun(const SimRun &) = delete;
@@ -164,18 +131,6 @@ class SimRun
     struct Impl;
     std::unique_ptr<Impl> impl_;
 };
-
-/**
- * Run the init phase once and capture it as a fork point for machines
- * whose configs differ only in backend/hint/observation options.
- */
-MachinePrefix buildMachinePrefix(const MachineConfig &cfg,
-                                 const tir::Module &module,
-                                 unsigned num_threads);
-
-/** runMachine, seeded from a previously captured init-phase prefix. */
-RunResult runMachine(const MachineConfig &cfg, const tir::Module &module,
-                     unsigned num_threads, const MachinePrefix *prefix);
 
 } // namespace sim
 } // namespace hintm

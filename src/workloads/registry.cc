@@ -6,7 +6,9 @@
 
 #include "workloads.hh"
 
+#include <cctype>
 #include <cstdlib>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -28,57 +30,74 @@ allNames()
 namespace
 {
 
+using Builder = Workload (*)(Scale, unsigned);
+
 Workload
-buildBase(const std::string &base, Scale s, unsigned threads)
+buildHintRaceClean(Scale s, unsigned threads)
 {
-    if (base == "bayes")
-        return buildBayes(s, threads);
-    if (base == "genome")
-        return buildGenome(s, threads);
-    if (base == "intruder")
-        return buildIntruder(s, threads);
-    if (base == "kmeans")
-        return buildKmeans(s, threads);
-    if (base == "labyrinth")
-        return buildLabyrinth(s, threads);
-    if (base == "ssca2")
-        return buildSsca2(s, threads);
-    if (base == "vacation")
-        return buildVacation(s, threads);
-    if (base == "yada")
-        return buildYada(s, threads);
-    if (base == "tpcc-no")
-        return buildTpccNo(s, threads);
-    if (base == "tpcc-p")
-        return buildTpccP(s, threads);
-    // Explorer-only adversarial kernels: resolvable by name, but never
-    // part of allNames() (the figure pipelines iterate that list).
-    if (base == "convoy")
-        return buildConvoy(s, threads);
-    if (base == "hintrace")
-        return buildHintRace(s, threads);
-    HINTM_FATAL("unknown workload '", base, "'");
+    return buildHintRace(s, threads);
+}
+
+/** Every buildable kernel. The explorer-only adversarial kernels
+ * (convoy, hintrace) resolve by name but stay out of allNames(): the
+ * figure pipelines iterate that list. */
+const std::pair<const char *, Builder> builders[] = {
+    {"bayes", buildBayes}, {"genome", buildGenome},
+    {"intruder", buildIntruder}, {"kmeans", buildKmeans},
+    {"labyrinth", buildLabyrinth}, {"ssca2", buildSsca2},
+    {"vacation", buildVacation}, {"yada", buildYada},
+    {"tpcc-no", buildTpccNo}, {"tpcc-p", buildTpccP},
+    {"convoy", buildConvoy}, {"hintrace", buildHintRaceClean},
+};
+
+/** The builder and thread count (0 = the paper's deployment) for
+ * "name[@N]", or null with a diagnostic in @p err. */
+Builder
+resolve(const std::string &name, unsigned &threads, std::string &err)
+{
+    const std::size_t at = name.find('@');
+    const std::string base = name.substr(0, at);
+    threads = 0;
+    if (at != std::string::npos) {
+        const std::string n = name.substr(at + 1);
+        char *end = nullptr;
+        const unsigned long v = std::strtoul(n.c_str(), &end, 10);
+        if (n.empty() || !std::isdigit(static_cast<unsigned char>(n[0])) ||
+            *end != '\0' || v < 1 || v > 64) {
+            err = "bad thread-count suffix in workload '" + name +
+                  "' (want name@N with N in 1..64)";
+            return nullptr;
+        }
+        threads = unsigned(v);
+    }
+    for (const auto &[kernel, build] : builders) {
+        if (base == kernel)
+            return build;
+    }
+    err = "unknown workload '" + base + "'";
+    return nullptr;
 }
 
 } // namespace
 
+std::string
+nameError(const std::string &name)
+{
+    unsigned threads;
+    std::string err;
+    resolve(name, threads, err);
+    return err;
+}
+
 Workload
 byName(const std::string &name, Scale s)
 {
-    std::string base = name;
-    unsigned threads = 0; // 0 = the paper's deployment
-    const std::size_t at = name.find('@');
-    if (at != std::string::npos) {
-        base = name.substr(0, at);
-        char *end = nullptr;
-        threads = unsigned(
-            std::strtoul(name.c_str() + at + 1, &end, 10));
-        HINTM_ASSERT(end && *end == '\0' && threads >= 1 &&
-                         threads <= 64,
-                     "bad thread-count suffix in workload '", name,
-                     "' (want name@N with N in 1..64)");
-    }
-    Workload w = buildBase(base, s, threads);
+    unsigned threads;
+    std::string err;
+    const Builder build = resolve(name, threads, err);
+    if (!build)
+        HINTM_FATAL(err);
+    Workload w = build(s, threads);
     // Keep the suffixed name: it is part of every result-cache key.
     w.name = name;
     return w;

@@ -74,6 +74,11 @@ const std::vector<std::string> &allNames();
  */
 Workload byName(const std::string &name, Scale s);
 
+/** Why byName would reject @p name, as a one-line diagnostic (unknown
+ * kernel, or a malformed or out-of-range "@N" suffix); empty when the
+ * name is buildable. Checks the name only — nothing is built. */
+std::string nameError(const std::string &name);
+
 } // namespace workloads
 } // namespace hintm
 

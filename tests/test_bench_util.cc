@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests for the benchmark-harness plumbing: argument parsing, reduction
- * and geomean math, the prepare/run round trip, the matrix job-key
+ * Tests for the benchmark-harness plumbing: the shared command-line
+ * parser (driven in-process), configuration validation, reduction and
+ * geomean math, the prepare/run round trip, the matrix job-key
  * format, and the persistent on-disk result store (round trip,
  * corruption tolerance, runMatrix integration).
  */
@@ -15,20 +16,31 @@
 #include <gtest/gtest.h>
 
 #include "../bench/bench_util.hh"
+#include "../bench/cli.hh"
 #include "../bench/result_store.hh"
 
 using namespace hintm;
 using bench::BenchArgs;
+namespace cli = bench::cli;
 
 namespace
 {
 
-BenchArgs
-parse(std::vector<const char *> argv)
+/** The harness flag table, parsed in-process (no exit, no wiring). */
+struct BenchParse
 {
-    argv.insert(argv.begin(), "bench");
-    return BenchArgs::parse(int(argv.size()),
-                            const_cast<char **>(argv.data()));
+    BenchArgs args;
+    cli::Parsed result;
+};
+
+BenchParse
+parse(const std::vector<std::string> &argv)
+{
+    BenchParse out;
+    cli::Parser p("bench");
+    cli::addBenchFlags(p, out.args);
+    out.result = p.parse(argv);
+    return out;
 }
 
 /** Fresh scratch directory for disk-cache tests. */
@@ -55,37 +67,199 @@ onlyEntry(const std::string &dir)
 
 } // namespace
 
-TEST(BenchArgs, Defaults)
+TEST(Cli, Defaults)
 {
-    const BenchArgs a = parse({});
-    EXPECT_EQ(a.scale, workloads::Scale::Small);
-    EXPECT_FALSE(a.scaleExplicit);
-    EXPECT_FALSE(a.preserve);
-    EXPECT_EQ(a.names(), workloads::allNames());
+    const BenchParse r = parse({});
+    ASSERT_TRUE(r.result.ok());
+    EXPECT_EQ(r.args.scale, workloads::Scale::Small);
+    EXPECT_FALSE(r.args.scaleExplicit);
+    EXPECT_FALSE(r.args.preserve);
+    EXPECT_EQ(r.args.jobs, 0u); // 0 = hardware concurrency
+    EXPECT_EQ(r.args.names(), workloads::allNames());
 }
 
-TEST(BenchArgs, ExplicitScaleAndWorkloads)
+TEST(Cli, ExplicitScaleAndRepeatableWorkload)
 {
-    const BenchArgs a =
-        parse({"--large", "--workload", "genome", "--workload", "yada",
-               "--preserve"});
-    EXPECT_EQ(a.scale, workloads::Scale::Large);
-    EXPECT_TRUE(a.scaleExplicit);
-    EXPECT_TRUE(a.preserve);
-    EXPECT_EQ(a.names(),
-              (std::vector<std::string>{"genome", "yada"}));
+    const BenchParse r = parse({"--large", "--workload", "genome",
+                                "--workload", "yada@32", "--preserve",
+                                "--jobs", "4"});
+    ASSERT_TRUE(r.result.ok()) << r.result.error;
+    EXPECT_EQ(r.args.scale, workloads::Scale::Large);
+    EXPECT_TRUE(r.args.scaleExplicit);
+    EXPECT_TRUE(r.args.preserve);
+    EXPECT_EQ(r.args.jobs, 4u);
+    EXPECT_EQ(r.args.names(),
+              (std::vector<std::string>{"genome", "yada@32"}));
 }
 
-TEST(BenchArgs, UnknownArgumentFatals)
+TEST(Cli, StrictNumbers)
 {
-    EXPECT_THROW(parse({"--bogus"}), std::runtime_error);
+    EXPECT_EQ(cli::parseNumber("42"), 42u);
+    EXPECT_EQ(cli::parseNumber("0x10"), 16u);
+    EXPECT_EQ(cli::parseNumber("0"), 0u);
+    for (const char *bad : {"", "abc", "12abc", "-1", "+5", " 5", "5 ",
+                            "0x", "18446744073709551616"})
+        EXPECT_FALSE(cli::parseNumber(bad)) << "'" << bad << "'";
+    EXPECT_EQ(cli::parseNumber("4294967295", 0xffffffffu), 0xffffffffu);
+    EXPECT_FALSE(cli::parseNumber("4294967296", 0xffffffffu));
+
+    // Through a flag: the diagnostic names the flag and the value, and
+    // an unsigned target rejects what would have wrapped.
+    for (const char *bad : {"abc", "4294967296", "-2"}) {
+        const BenchParse r = parse({"--jobs", bad});
+        EXPECT_FALSE(r.result.ok()) << bad;
+        EXPECT_NE(r.result.error.find("--jobs"), std::string::npos);
+        EXPECT_NE(r.result.error.find(bad), std::string::npos);
+    }
 }
 
-TEST(BenchArgs, JobsFlag)
+TEST(Cli, MissingValueAndUnknownFlag)
 {
-    EXPECT_EQ(parse({}).jobs, 0u); // 0 = hardware concurrency
-    EXPECT_EQ(parse({"--jobs", "4"}).jobs, 4u);
-    EXPECT_EQ(parse({"--jobs", "1"}).jobs, 1u);
+    BenchParse r = parse({"--tiny", "--jobs"});
+    EXPECT_EQ(r.result.error, "--jobs: missing value N");
+    r = parse({"--bogus"});
+    EXPECT_EQ(r.result.error, "unknown argument --bogus");
+    // Parsing stops at the first error.
+    r = parse({"--bogus", "--tiny"});
+    EXPECT_FALSE(r.args.scaleExplicit);
+}
+
+TEST(Cli, WorkloadsCheckedAgainstTheRegistry)
+{
+    for (const char *bad : {"nosuch", "kmeans@0", "kmeans@65",
+                            "kmeans@x", "kmeans@", "nosuch@8", ""}) {
+        const BenchParse r = parse({"--workload", bad});
+        EXPECT_FALSE(r.result.ok()) << bad;
+        EXPECT_EQ(r.result.error.rfind("--workload: ", 0), 0u)
+            << r.result.error;
+    }
+    for (const char *good : {"kmeans@1", "kmeans@64", "tpcc-no", "convoy"})
+        EXPECT_TRUE(parse({"--workload", good}).result.ok()) << good;
+}
+
+TEST(Cli, PerfettoTakesAnOptionalFileAndImpliesJournal)
+{
+    bool journal = false, metrics = false;
+    std::string perfetto, stats;
+    workloads::Scale scale = workloads::Scale::Small;
+    cli::Parser p("tool");
+    cli::addObservability(p, &journal, &metrics, &perfetto, &stats);
+    cli::addScale(p, scale, cli::ScaleFlags::Shorthands);
+
+    ASSERT_TRUE(p.parse({"--perfetto"}).ok());
+    EXPECT_EQ(perfetto, "perfetto_trace.json");
+    EXPECT_TRUE(journal);
+
+    journal = false;
+    ASSERT_TRUE(p.parse({"--perfetto", "t.json", "--tiny"}).ok());
+    EXPECT_EQ(perfetto, "t.json");
+    EXPECT_TRUE(journal);
+    EXPECT_EQ(scale, workloads::Scale::Tiny);
+
+    // A following flag is not swallowed as the file name.
+    ASSERT_TRUE(p.parse({"--perfetto", "--stats-json"}).ok());
+    EXPECT_EQ(perfetto, "perfetto_trace.json");
+    EXPECT_EQ(stats, "stats.json");
+    EXPECT_FALSE(metrics);
+
+    // The harness table routes --perfetto into BenchArgs::journal too.
+    EXPECT_TRUE(parse({"--perfetto", "x.json"}).args.journal);
+}
+
+TEST(Cli, HelpIsGeneratedFromTheFlagTable)
+{
+    cli::Parser p("bench");
+    BenchArgs a;
+    cli::addBenchFlags(p, a);
+    EXPECT_TRUE(p.parse({"--tiny", "--help", "--bogus"}).help);
+    const std::string usage = p.usage();
+    for (const char *entry : {"\n  --tiny ", "\n  --workload NAME ",
+                              "\n  --jobs N ", "\n  --perfetto [FILE] ",
+                              "\n  --no-sched-index ", "\n  --cache-clear ",
+                              "\n  --help "})
+        EXPECT_NE(usage.find(entry), std::string::npos) << entry;
+}
+
+TEST(Cli, ChoiceAndSystemGroup)
+{
+    core::SystemOptions o;
+    cli::Parser p("tool");
+    cli::addSystem(p, o, {"--htm", "--mech", "--cores"});
+    EXPECT_TRUE(p.parse({"--htm", "l1tm", "--mech", "dyn", "--cores",
+                         "16"})
+                    .ok());
+    EXPECT_EQ(o.htmKind, htm::HtmKind::L1TM);
+    EXPECT_EQ(o.mechanism, core::Mechanism::DynamicOnly);
+    EXPECT_EQ(o.numCores, 16u);
+    EXPECT_EQ(p.parse({"--htm", "p9"}).error,
+              "--htm: unknown value 'p9' (want p8, p8s, l1tm, infcap)");
+    // Only the requested subset is registered.
+    EXPECT_EQ(p.parse({"--smt", "2"}).error, "unknown argument --smt");
+}
+
+TEST(Cli, CacheFlagsWireTheDiskStoreAtEndOfParse)
+{
+    const std::string dir = makeTempDir();
+    std::ofstream(dir + "/stale.res") << "x";
+    const std::string flags[] = {"bench", "--cache-dir", dir,
+                                 "--cache-clear"};
+    std::vector<char *> argv;
+    for (const std::string &f : flags)
+        argv.push_back(const_cast<char *>(f.c_str()));
+
+    cli::Parser p("bench");
+    cli::addCache(p);
+    // parse() alone writes targets only; the store is wired, and
+    // --cache-clear applied, by the entry point.
+    ASSERT_TRUE(p.parse({"--cache-dir", dir, "--cache-clear"}).ok());
+    EXPECT_TRUE(std::filesystem::exists(dir + "/stale.res"));
+    p.parseOrExit(int(argv.size()), argv.data());
+    EXPECT_FALSE(std::filesystem::exists(dir + "/stale.res"));
+
+    const bench::PreparedWorkload w =
+        bench::prepare("kmeans", workloads::Scale::Tiny);
+    bench::clearMatrixCache();
+    (void)bench::runMatrix({{&w, core::SystemOptions{}}}, 1);
+    EXPECT_EQ(bench::matrixCacheStats().diskStores, 1u);
+    EXPECT_FALSE(onlyEntry(dir).empty());
+
+    bench::setDiskResultCache("", false);
+    bench::clearMatrixCache();
+    std::filesystem::remove_all(dir);
+}
+
+TEST(SystemOptionsValidate, CatchesWhatMachineConstructionWouldAbortOn)
+{
+    core::SystemOptions o;
+    EXPECT_TRUE(o.validate(8).empty());
+    EXPECT_TRUE(o.validate().empty());
+    EXPECT_EQ(o.validate(9).size(), 1u);
+
+    auto one = [](auto mutate) {
+        core::SystemOptions b;
+        mutate(b);
+        return b.validate(1).size();
+    };
+    EXPECT_EQ(one([](core::SystemOptions &b) { b.numCores = 0; }), 1u);
+    EXPECT_EQ(one([](core::SystemOptions &b) { b.smtPerCore = 0; }), 1u);
+    EXPECT_EQ(one([](core::SystemOptions &b) { b.numaNodes = 0; }), 1u);
+    EXPECT_EQ(one([](core::SystemOptions &b) {
+                  b.htmKind = htm::HtmKind::P8S;
+                  b.signatureBits = 0;
+              }),
+              1u);
+    EXPECT_EQ(one([](core::SystemOptions &b) {
+                  b.htmKind = htm::HtmKind::P8S;
+                  b.signatureBits = 1000;
+              }),
+              1u);
+    // The signature only matters on P8S.
+    EXPECT_EQ(one([](core::SystemOptions &b) { b.signatureBits = 0; }), 0u);
+    // SMT contexts count toward the thread limit.
+    core::SystemOptions smt;
+    smt.numCores = 4;
+    smt.smtPerCore = 2;
+    EXPECT_TRUE(smt.validate(8).empty());
 }
 
 TEST(BenchMath, Reduction)
@@ -123,30 +297,6 @@ TEST(BenchPrepare, CompilesAndRuns)
     core::SystemOptions opts;
     const sim::RunResult r = bench::run(p, opts);
     EXPECT_GT(r.committedTxs, 0u);
-}
-
-TEST(BenchArgs, CacheFlags)
-{
-    // --no-disk-cache everywhere: parse() wires the process-wide store,
-    // and these parses must not point it at the user's real cache dir.
-    BenchArgs a = parse({"--no-disk-cache"});
-    EXPECT_TRUE(a.cacheDir.empty());
-    EXPECT_TRUE(a.noDiskCache);
-    EXPECT_FALSE(a.cacheClear);
-    EXPECT_FALSE(a.noPrefixFork);
-
-    const std::string dir = makeTempDir();
-    a = parse({"--cache-dir", dir.c_str(), "--no-disk-cache",
-               "--cache-clear", "--no-prefix-fork"});
-    EXPECT_EQ(a.cacheDir, dir);
-    EXPECT_TRUE(a.noDiskCache);
-    EXPECT_TRUE(a.cacheClear);
-    EXPECT_TRUE(a.noPrefixFork);
-
-    // Undo the process-wide side effects for the rest of the binary.
-    bench::setDiskResultCache("", false);
-    bench::setPrefixFork(true);
-    std::filesystem::remove_all(dir);
 }
 
 TEST(EffectiveJobs, PassesThroughAndClampsTheDefault)
@@ -302,8 +452,6 @@ TEST(ResultStore, RunMatrixServesSecondRunFromDisk)
     EXPECT_EQ(st.misses, 2u);
     EXPECT_EQ(st.diskHits, 0u);
     EXPECT_EQ(st.diskStores, 2u);
-    // Both jobs share workload/threads/seed: one init prefix, two forks.
-    EXPECT_EQ(st.prefixForks, 2u);
 
     // Drop the in-memory cache (a "new process"): disk serves both.
     bench::clearMatrixCache();

@@ -1,9 +1,8 @@
 /**
  * @file
- * Property tests for the sweep-throughput snapshot/fork machinery.
- * The contract under test is bit-identity: a machine forked from a
- * captured init-phase prefix, or restored from a mid-run snapshot,
- * must produce exactly the RunResult of an uninterrupted cold run —
+ * Property tests for machine snapshot/restore. The contract under test
+ * is bit-identity: a machine restored from a mid-run snapshot must
+ * produce exactly the RunResult of an uninterrupted cold run —
  * cycles, abort breakdowns, distributions, raw stats and final globals
  * included. encodeRunResult() serializes every persisted field, so
  * string equality of the encodings is a full-width comparison.
@@ -52,52 +51,6 @@ expectSameResult(const sim::RunResult &a, const sim::RunResult &b,
 }
 
 } // namespace
-
-TEST(PrefixFork, BitIdenticalToColdRunAcrossWorkloadsAndBackends)
-{
-    for (const char *name : {"kmeans", "intruder"}) {
-        workloads::Workload wl =
-            workloads::byName(name, workloads::Scale::Tiny);
-        core::compileHints(wl.module);
-        for (const htm::HtmKind kind :
-             {htm::HtmKind::P8, htm::HtmKind::P8S, htm::HtmKind::L1TM}) {
-            const core::SystemOptions opts = observedOpts(kind);
-            const sim::RunResult cold =
-                core::simulate(opts, wl.module, wl.threads);
-            const auto prefix =
-                core::buildPrefix(opts, wl.module, wl.threads);
-            const sim::RunResult forked = core::simulate(
-                opts, wl.module, wl.threads, prefix.get());
-            expectSameResult(cold, forked,
-                             std::string(name) + "/" +
-                                 htm::htmKindName(kind));
-        }
-    }
-}
-
-TEST(PrefixFork, OnePrefixServesDivergentConfigs)
-{
-    workloads::Workload wl =
-        workloads::byName("kmeans", workloads::Scale::Tiny);
-    core::compileHints(wl.module);
-    // Built from a Baseline/P8 config on purpose: the prefix must be
-    // config-independent, so forks with other backends/mechanisms have
-    // to match their own cold runs exactly.
-    core::SystemOptions base;
-    base.htmKind = htm::HtmKind::P8;
-    base.mechanism = core::Mechanism::Baseline;
-    const auto prefix = core::buildPrefix(base, wl.module, wl.threads);
-
-    for (const htm::HtmKind kind :
-         {htm::HtmKind::P8S, htm::HtmKind::L1TM}) {
-        core::SystemOptions opts = observedOpts(kind);
-        const sim::RunResult cold =
-            core::simulate(opts, wl.module, wl.threads);
-        const sim::RunResult forked =
-            core::simulate(opts, wl.module, wl.threads, prefix.get());
-        expectSameResult(cold, forked, htm::htmKindName(kind));
-    }
-}
 
 TEST(Snapshot, RestoreIntoFreshMachineResumesBitIdentical)
 {

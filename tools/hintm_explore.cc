@@ -13,15 +13,15 @@
  *   hintm_explore --replay fail.sched
  */
 
+#include <climits>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "common/logging.hh"
+#include "cli.hh"
 #include "core/hintm.hh"
 #include "sim/explorer.hh"
 #include "sim/schedule.hh"
@@ -33,60 +33,6 @@ using namespace hintm;
 
 namespace
 {
-
-[[noreturn]] void
-usage(int code)
-{
-    std::printf(
-        "usage: hintm_explore [options]\n"
-        "  --workload NAME     convoy | hintrace (default convoy)\n"
-        "  --scale S           tiny | small | large (default tiny)\n"
-        "  --tiny|--small|--large   shorthand for --scale S\n"
-        "  --threads N         override the workload's thread count\n"
-        "  --seed N            RNG seed (default 1)\n"
-        "  --retries N         transient-abort retries (default 2 — low,\n"
-        "                      so the fallback lock sees traffic)\n"
-        "  --bug               seeded-bug variant: a wrong safe hint\n"
-        "                      (hintrace) or lazy lock subscription "
-        "(convoy)\n"
-        "  --preemption-bound N  max preemptions per schedule (default 1)\n"
-        "  --max-schedules N   hard cap on schedules run (default 4096)\n"
-        "  --livelock-threshold N  consecutive aborted attempts that\n"
-        "                      count as a convoy warning (default 8)\n"
-        "  --no-dpor           disable the independence filter (naive\n"
-        "                      enumeration; for pruning comparisons)\n"
-        "  --no-final-state    skip the final-memory determinism check\n"
-        "                      (forced off for hintrace: its final state\n"
-        "                      is legitimately schedule-dependent)\n"
-        "  --jobs N            host threads over top-level branches "
-        "(default 1)\n"
-        "  --schedule-out FILE write the first fatal violation's "
-        "schedule\n"
-        "  --replay FILE       run one recorded schedule and re-check it\n"
-        "  --json [FILE]       machine-readable report (default stdout)\n"
-        "  --list              list explorable workloads and exit\n"
-        "\n"
-        "exit status: 0 = no fatal violation, 1 = fatal violation found,\n"
-        "2 = usage or I/O error\n");
-    std::exit(code);
-}
-
-std::uint64_t
-parseNum(const char *s)
-{
-    return std::strtoull(s, nullptr, 0);
-}
-
-const char *
-scaleName(workloads::Scale s)
-{
-    switch (s) {
-      case workloads::Scale::Tiny: return "tiny";
-      case workloads::Scale::Small: return "small";
-      case workloads::Scale::Large: return "large";
-    }
-    return "?";
-}
 
 /** Everything needed to rebuild a run from a schedule file. */
 struct Setup
@@ -103,8 +49,9 @@ std::string
 encodeConfig(const Setup &s)
 {
     std::ostringstream os;
-    os << "scale=" << scaleName(s.scale) << " threads=" << s.threads
-       << " retries=" << s.retries << " bug=" << (s.bug ? 1 : 0);
+    os << "scale=" << bench::cli::scaleName(s.scale)
+       << " threads=" << s.threads << " retries=" << s.retries
+       << " bug=" << (s.bug ? 1 : 0);
     return os.str();
 }
 
@@ -120,18 +67,15 @@ decodeConfig(const std::string &str, Setup &s)
         const std::string k = kv.substr(0, eq);
         const std::string v = kv.substr(eq + 1);
         if (k == "scale") {
-            if (v == "tiny")
-                s.scale = workloads::Scale::Tiny;
-            else if (v == "small")
-                s.scale = workloads::Scale::Small;
-            else if (v == "large")
-                s.scale = workloads::Scale::Large;
-            else
+            const auto scale = bench::cli::parseScale(v);
+            if (!scale)
                 return false;
-        } else if (k == "threads") {
-            s.threads = unsigned(parseNum(v.c_str()));
-        } else if (k == "retries") {
-            s.retries = unsigned(parseNum(v.c_str()));
+            s.scale = *scale;
+        } else if (k == "threads" || k == "retries") {
+            const auto n = bench::cli::parseNumber(v, UINT_MAX);
+            if (!n)
+                return false;
+            (k == "threads" ? s.threads : s.retries) = unsigned(*n);
         } else if (k == "bug") {
             s.bug = v != "0";
         } else {
@@ -154,8 +98,8 @@ buildWorkload(const Setup &s)
     std::exit(2);
 }
 
-sim::MachineConfig
-makeConfig(const Setup &s)
+core::SystemOptions
+makeOptions(const Setup &s)
 {
     core::SystemOptions so;
     so.mechanism = s.workload == "hintrace"
@@ -165,7 +109,13 @@ makeConfig(const Setup &s)
     so.journal = true;
     so.seed = s.seed;
     so.maxRetries = s.retries;
-    sim::MachineConfig cfg = core::makeMachineConfig(so);
+    return so;
+}
+
+sim::MachineConfig
+makeConfig(const Setup &s)
+{
+    sim::MachineConfig cfg = core::makeMachineConfig(makeOptions(s));
     if (s.workload == "convoy" && s.bug)
         cfg.unsafeLazySubscription = true;
     return cfg;
@@ -274,70 +224,62 @@ main(int argc, char **argv)
     sim::ExploreOptions opt;
     opt.livelockThreshold = 8;
     std::string scheduleOut, replayPath, jsonPath;
-    bool json = false;
+    bool json = false, list = false;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                usage(2);
-            return argv[++i];
-        };
-        if (a == "--workload") {
-            s.workload = next();
-        } else if (a == "--scale") {
-            const std::string v = next();
-            if (v == "tiny")
-                s.scale = workloads::Scale::Tiny;
-            else if (v == "small")
-                s.scale = workloads::Scale::Small;
-            else if (v == "large")
-                s.scale = workloads::Scale::Large;
-            else
-                usage(2);
-        } else if (a == "--tiny") {
-            s.scale = workloads::Scale::Tiny;
-        } else if (a == "--small") {
-            s.scale = workloads::Scale::Small;
-        } else if (a == "--large") {
-            s.scale = workloads::Scale::Large;
-        } else if (a == "--threads") {
-            s.threads = unsigned(parseNum(next()));
-        } else if (a == "--seed") {
-            s.seed = parseNum(next());
-        } else if (a == "--retries") {
-            s.retries = unsigned(parseNum(next()));
-        } else if (a == "--bug") {
-            s.bug = true;
-        } else if (a == "--preemption-bound") {
-            opt.preemptionBound = unsigned(parseNum(next()));
-        } else if (a == "--max-schedules") {
-            opt.maxSchedules = parseNum(next());
-        } else if (a == "--livelock-threshold") {
-            opt.livelockThreshold = unsigned(parseNum(next()));
-        } else if (a == "--no-dpor") {
-            opt.dpor = false;
-        } else if (a == "--no-final-state") {
-            opt.compareFinalState = false;
-        } else if (a == "--jobs") {
-            opt.jobs = unsigned(parseNum(next()));
-        } else if (a == "--schedule-out") {
-            scheduleOut = next();
-        } else if (a == "--replay") {
-            replayPath = next();
-        } else if (a == "--json") {
-            json = true;
-            if (i + 1 < argc && argv[i + 1][0] != '-')
-                jsonPath = argv[++i];
-        } else if (a == "--list") {
-            std::printf("convoy\nhintrace\n");
-            return 0;
-        } else if (a == "--help" || a == "-h") {
-            usage(0);
-        } else {
-            std::fprintf(stderr, "unknown option %s\n", a.c_str());
-            usage(2);
-        }
+    namespace cli = bench::cli;
+    cli::Parser p("hintm_explore", "-h, --help");
+    p.choice("--workload", "NAME", "convoy | hintrace",
+             s.workload, {{"convoy", "convoy"}, {"hintrace", "hintrace"}});
+    cli::addScale(p, s.scale, cli::ScaleFlags::All);
+    p.option("--threads", "N", "override the workload's thread count",
+             s.threads);
+    p.option("--seed", "N", "RNG seed (default 1)", s.seed);
+    p.option("--retries", "N",
+             "transient-abort retries (default 2 — low,\nso the fallback "
+             "lock sees traffic)",
+             s.retries);
+    p.flag("--bug",
+           "seeded-bug variant: a wrong safe hint\n(hintrace) or lazy "
+           "lock subscription (convoy)",
+           s.bug);
+    p.option("--preemption-bound", "N",
+             "max preemptions per schedule (default 1)",
+             opt.preemptionBound);
+    p.option("--max-schedules", "N",
+             "hard cap on schedules run (default 4096)", opt.maxSchedules);
+    p.option("--livelock-threshold", "N",
+             "consecutive aborted attempts that\ncount as a convoy "
+             "warning (default 8)",
+             opt.livelockThreshold);
+    p.flag("--no-dpor",
+           "disable the independence filter (naive\nenumeration; for "
+           "pruning comparisons)",
+           [&opt] { opt.dpor = false; });
+    p.flag("--no-final-state",
+           "skip the final-memory determinism check\n(forced off for "
+           "hintrace: its final state\nis legitimately "
+           "schedule-dependent)",
+           [&opt] { opt.compareFinalState = false; });
+    p.option("--jobs", "N",
+             "host threads over top-level branches (default 1)", opt.jobs);
+    p.option("--schedule-out", "FILE",
+             "write the first fatal violation's schedule", scheduleOut);
+    p.option("--replay", "FILE", "run one recorded schedule and re-check it",
+             replayPath);
+    p.optionalValue("--json", "FILE",
+                    "machine-readable report (default stdout)",
+                    [&](const std::string *v) {
+                        json = true;
+                        if (v)
+                            jsonPath = *v;
+                    });
+    p.flag("--list", "list explorable workloads and exit", list);
+    p.epilogue("exit status: 0 = no fatal violation, 1 = fatal violation "
+               "found,\n2 = usage or I/O error\n");
+    p.parseOrExit(argc, argv);
+    if (list) {
+        std::printf("convoy\nhintrace\n");
+        return 0;
     }
 
     if (!replayPath.empty())
@@ -349,8 +291,9 @@ main(int argc, char **argv)
         opt.compareFinalState = false;
 
     const workloads::Workload wl = buildWorkload(s);
-    const sim::MachineConfig cfg = makeConfig(s);
     const unsigned threads = s.threads ? s.threads : wl.threads;
+    p.failOn(makeOptions(s).validate(threads));
+    const sim::MachineConfig cfg = makeConfig(s);
 
     std::printf("exploring %s (%u threads, %s): bound %u, %s\n",
                 wl.name.c_str(), threads, encodeConfig(s).c_str(),

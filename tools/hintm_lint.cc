@@ -18,44 +18,20 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "bench_util.hh"
-#include "common/logging.hh"
+#include "cli.hh"
 #include "compiler/race_lint.hh"
 #include "core/hintm.hh"
-#include "result_store.hh"
 #include "workloads/workloads.hh"
 
 using namespace hintm;
 
 namespace
 {
-
-[[noreturn]] void
-usage(int code)
-{
-    std::printf(
-        "usage: hintm_lint [options]\n"
-        "  --workload NAME     lint a single workload (default: all)\n"
-        "  --scale S           tiny | small | large (default tiny)\n"
-        "  --tiny              shorthand for --scale tiny\n"
-        "  --static-only       skip the dynamic-oracle simulation\n"
-        "  --mutate            corrupt hints on purpose and show which\n"
-        "                      side catches it (does not affect exit "
-        "code)\n"
-        "  --seed N            seed for --mutate bit selection\n"
-        "  --jobs N            host threads for the oracle runs\n"
-        "  --cache-dir DIR     persistent result-cache location "
-        "(default ~/.cache/hintm)\n"
-        "  --no-disk-cache     run without the persistent result cache\n"
-        "  --cache-clear       wipe the cache directory before running\n"
-        "  --list              list workloads and exit\n");
-    std::exit(code);
-}
 
 /** Candidate hint bit to corrupt: a currently-unsafe access. */
 struct FlipSite
@@ -81,6 +57,16 @@ unsafeAccesses(const tir::Module &mod)
     return sites;
 }
 
+/** The oracle runs' configuration: the full mechanism, oracle armed. */
+core::SystemOptions
+oracleOptions()
+{
+    core::SystemOptions opts;
+    opts.mechanism = core::Mechanism::Full;
+    opts.hintOracle = true;
+    return opts;
+}
+
 struct LintOutcome
 {
     unsigned staticDiags = 0;
@@ -88,14 +74,14 @@ struct LintOutcome
 };
 
 LintOutcome
-lintWorkload(const std::string &name, workloads::Scale scale,
-             bool run_oracle, unsigned host_jobs, bool verbose)
+lintWorkload(const bench::cli::Parser &cli, const std::string &name,
+             workloads::Scale scale, bool run_oracle, unsigned host_jobs,
+             bool verbose)
 {
     LintOutcome out;
-    bench::PreparedWorkload p;
-    p.wl = workloads::byName(name, scale);
-    p.compileReport = core::compileHints(p.wl.module);
-    p.scale = scale;
+    const bench::PreparedWorkload p = bench::prepare(name, scale);
+    if (run_oracle)
+        cli.failOn(oracleOptions().validate(p.wl.threads));
 
     const compiler::LintReport lint = compiler::lintRaces(p.wl.module);
     out.staticDiags = unsigned(lint.diagnostics.size());
@@ -105,10 +91,7 @@ lintWorkload(const std::string &name, workloads::Scale scale,
         std::printf("%s", lint.render().c_str());
 
     if (run_oracle) {
-        core::SystemOptions opts;
-        opts.mechanism = core::Mechanism::Full;
-        opts.hintOracle = true;
-        const std::vector<bench::MatrixJob> jobs = {{&p, opts, 0}};
+        const std::vector<bench::MatrixJob> jobs = {{&p, oracleOptions()}};
         const sim::RunResult r = bench::runMatrix(jobs, host_jobs)[0];
         out.oracleWitnesses = unsigned(r.oracleWitnesses.size());
         std::printf("%-10s oracle : %zu witness(es), %llu safe accesses "
@@ -124,14 +107,12 @@ lintWorkload(const std::string &name, workloads::Scale scale,
 }
 
 void
-mutateWorkload(const std::string &name, workloads::Scale scale,
-               std::uint64_t seed, unsigned host_jobs, unsigned &caught,
-               unsigned &total)
+mutateWorkload(const bench::cli::Parser &cli, const std::string &name,
+               workloads::Scale scale, std::uint64_t seed,
+               unsigned host_jobs, unsigned &caught, unsigned &total)
 {
-    bench::PreparedWorkload p;
-    p.wl = workloads::byName(name, scale);
-    p.compileReport = core::compileHints(p.wl.module);
-    p.scale = scale;
+    bench::PreparedWorkload p = bench::prepare(name, scale);
+    cli.failOn(oracleOptions().validate(p.wl.threads));
 
     const std::vector<FlipSite> sites = unsafeAccesses(p.wl.module);
     if (sites.empty())
@@ -152,10 +133,7 @@ mutateWorkload(const std::string &name, workloads::Scale scale,
             hit_static = true;
     }
 
-    core::SystemOptions opts;
-    opts.mechanism = core::Mechanism::Full;
-    opts.hintOracle = true;
-    const std::vector<bench::MatrixJob> jobs = {{&p, opts, 0}};
+    const std::vector<bench::MatrixJob> jobs = {{&p, oracleOptions()}};
     const sim::RunResult r = bench::runMatrix(jobs, host_jobs)[0];
     const bool hit_oracle = !r.oracleWitnesses.empty();
 
@@ -182,63 +160,28 @@ main(int argc, char **argv)
     bool mutate = false;
     std::uint64_t seed = 1;
     unsigned host_jobs = 0;
-    std::string cacheDir;
-    bool noDiskCache = false, cacheClear = false;
+    bool list = false;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                usage(1);
-            return argv[++i];
-        };
-        if (a == "--workload") {
-            workload = next();
-        } else if (a == "--scale") {
-            const std::string s = next();
-            if (s == "tiny")
-                scale = workloads::Scale::Tiny;
-            else if (s == "small")
-                scale = workloads::Scale::Small;
-            else if (s == "large")
-                scale = workloads::Scale::Large;
-            else
-                usage(1);
-        } else if (a == "--tiny") {
-            scale = workloads::Scale::Tiny;
-        } else if (a == "--static-only") {
-            static_only = true;
-        } else if (a == "--mutate") {
-            mutate = true;
-        } else if (a == "--seed") {
-            seed = std::strtoull(next(), nullptr, 0);
-        } else if (a == "--jobs") {
-            host_jobs = unsigned(std::strtoull(next(), nullptr, 0));
-        } else if (a == "--cache-dir") {
-            cacheDir = next();
-        } else if (a == "--no-disk-cache") {
-            noDiskCache = true;
-        } else if (a == "--cache-clear") {
-            cacheClear = true;
-        } else if (a == "--no-prefix-fork") {
-            bench::setPrefixFork(false);
-        } else if (a == "--list") {
-            for (const auto &n : workloads::allNames())
-                std::printf("%s\n", n.c_str());
-            return 0;
-        } else if (a == "--help" || a == "-h") {
-            usage(0);
-        } else {
-            std::fprintf(stderr, "unknown option %s\n", a.c_str());
-            usage(1);
-        }
+    namespace cli = bench::cli;
+    cli::Parser p("hintm_lint", "-h, --help");
+    cli::addWorkload(p, workload, "lint a single workload (default: all)");
+    cli::addScale(p, scale, cli::ScaleFlags::ScaleOrTiny);
+    p.flag("--static-only", "skip the dynamic-oracle simulation",
+           static_only);
+    p.flag("--mutate",
+           "corrupt hints on purpose and show which\nside catches it "
+           "(does not affect exit code)",
+           mutate);
+    p.option("--seed", "N", "seed for --mutate bit selection", seed);
+    p.option("--jobs", "N", "host threads for the oracle runs", host_jobs);
+    cli::addCache(p);
+    p.flag("--list", "list workloads and exit", list);
+    p.parseOrExit(argc, argv);
+    if (list) {
+        for (const auto &n : workloads::allNames())
+            std::printf("%s\n", n.c_str());
+        return 0;
     }
-
-    const std::string cache_dir =
-        cacheDir.empty() ? bench::ResultStore::defaultDir() : cacheDir;
-    if (cacheClear)
-        bench::ResultStore::clearDir(cache_dir);
-    bench::setDiskResultCache(cache_dir, !noDiskCache);
 
     std::vector<std::string> names;
     if (!workload.empty())
@@ -249,7 +192,7 @@ main(int argc, char **argv)
     if (mutate) {
         unsigned caught = 0, total = 0;
         for (const auto &n : names)
-            mutateWorkload(n, scale, seed, host_jobs, caught, total);
+            mutateWorkload(p, n, scale, seed, host_jobs, caught, total);
         std::printf("\nmutation: %u/%u corrupted hints caught\n", caught,
                     total);
         return 0;
@@ -258,7 +201,7 @@ main(int argc, char **argv)
     unsigned diags = 0, witnesses = 0;
     for (const auto &n : names) {
         const LintOutcome o =
-            lintWorkload(n, scale, !static_only, host_jobs, true);
+            lintWorkload(p, n, scale, !static_only, host_jobs, true);
         diags += o.staticDiags;
         witnesses += o.oracleWitnesses;
     }

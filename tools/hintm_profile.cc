@@ -15,70 +15,22 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench_util.hh"
+#include "cli.hh"
 #include "common/logging.hh"
 #include "core/hintm.hh"
-#include "result_store.hh"
 #include "sim/journal_io.hh"
 #include "workloads/workloads.hh"
 
 using namespace hintm;
 
-namespace
-{
-
-[[noreturn]] void
-usage(int code)
-{
-    std::printf(
-        "usage: hintm_profile [options]\n"
-        "  --workload NAME     workload to profile (default intruder)\n"
-        "  --scale S           tiny | small | large (default small)\n"
-        "  --tiny|--small|--large   shorthand for --scale S\n"
-        "  --htm KIND          p8 | p8s | l1tm | infcap (default p8)\n"
-        "  --mech M            baseline | static | dyn | full "
-        "(default baseline)\n"
-        "  --threads N         override the workload's thread count\n"
-        "  --seed N            RNG seed (default 1)\n"
-        "  --retries N         transient-abort retries (default 8)\n"
-        "  --preabort          convert capacity overflows to critical "
-        "sections\n"
-        "  --preserve          preserve-read-only page policy\n"
-        "  --top N             sites in the attribution table, ranked "
-        "by cycles lost (default 10)\n"
-        "  --metrics           also collect capacity-pressure metrics "
-        "(observation only)\n"
-        "  --window N          interval-sampler window in cycles "
-        "(default: ~50 windows)\n"
-        "  --capacity N        journal ring size in records "
-        "(default 65536)\n"
-        "  --no-intervals      skip the interval time-series table\n"
-        "  --perfetto [FILE]   write a Chrome-trace timeline "
-        "(default perfetto_trace.json)\n"
-        "  --stats-json [FILE] write the machine-readable stats record "
-        "(default stats.json)\n"
-        "  --cache-dir DIR     persistent result-cache location "
-        "(default ~/.cache/hintm)\n"
-        "  --no-disk-cache     run without the persistent result cache\n"
-        "  --cache-clear       wipe the cache directory before running\n");
-    std::exit(code);
-}
-
-std::uint64_t
-parseNum(const char *s)
-{
-    return std::strtoull(s, nullptr, 0);
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
+    namespace cli = bench::cli;
     std::string workload = "intruder";
     workloads::Scale scale = workloads::Scale::Small;
     core::SystemOptions opts;
@@ -87,119 +39,44 @@ main(int argc, char **argv)
     unsigned threads_override = 0;
     std::size_t top_n = 10;
     Cycle window = 0;
-    bool intervals = true;
+    bool no_intervals = false;
     std::string perfettoPath, statsJsonPath;
-    std::string cacheDir;
-    bool noDiskCache = false, cacheClear = false;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                usage(1);
-            return argv[++i];
-        };
-        if (a == "--workload") {
-            workload = next();
-        } else if (a == "--scale") {
-            const std::string s = next();
-            if (s == "tiny")
-                scale = workloads::Scale::Tiny;
-            else if (s == "small")
-                scale = workloads::Scale::Small;
-            else if (s == "large")
-                scale = workloads::Scale::Large;
-            else
-                usage(1);
-        } else if (a == "--tiny") {
-            scale = workloads::Scale::Tiny;
-        } else if (a == "--small") {
-            scale = workloads::Scale::Small;
-        } else if (a == "--large") {
-            scale = workloads::Scale::Large;
-        } else if (a == "--htm") {
-            const std::string s = next();
-            if (s == "p8")
-                opts.htmKind = htm::HtmKind::P8;
-            else if (s == "p8s")
-                opts.htmKind = htm::HtmKind::P8S;
-            else if (s == "l1tm")
-                opts.htmKind = htm::HtmKind::L1TM;
-            else if (s == "infcap")
-                opts.htmKind = htm::HtmKind::InfCap;
-            else
-                usage(1);
-        } else if (a == "--mech") {
-            const std::string s = next();
-            if (s == "baseline")
-                opts.mechanism = core::Mechanism::Baseline;
-            else if (s == "static")
-                opts.mechanism = core::Mechanism::StaticOnly;
-            else if (s == "dyn")
-                opts.mechanism = core::Mechanism::DynamicOnly;
-            else if (s == "full")
-                opts.mechanism = core::Mechanism::Full;
-            else
-                usage(1);
-        } else if (a == "--threads") {
-            threads_override = unsigned(parseNum(next()));
-        } else if (a == "--seed") {
-            opts.seed = parseNum(next());
-        } else if (a == "--retries") {
-            opts.maxRetries = unsigned(parseNum(next()));
-        } else if (a == "--preabort") {
-            opts.preAbortHandler = true;
-        } else if (a == "--preserve") {
-            opts.preserveReadOnly = true;
-        } else if (a == "--top") {
-            top_n = std::size_t(parseNum(next()));
-        } else if (a == "--metrics") {
-            opts.metrics = true;
-        } else if (a == "--window") {
-            window = Cycle(parseNum(next()));
-        } else if (a == "--capacity") {
-            opts.journalCapacity = std::size_t(parseNum(next()));
-        } else if (a == "--no-intervals") {
-            intervals = false;
-        } else if (a == "--perfetto") {
-            perfettoPath = "perfetto_trace.json";
-            if (i + 1 < argc && argv[i + 1][0] != '-')
-                perfettoPath = argv[++i];
-        } else if (a == "--stats-json") {
-            statsJsonPath = "stats.json";
-            if (i + 1 < argc && argv[i + 1][0] != '-')
-                statsJsonPath = argv[++i];
-        } else if (a == "--cache-dir") {
-            cacheDir = next();
-        } else if (a == "--no-disk-cache") {
-            noDiskCache = true;
-        } else if (a == "--cache-clear") {
-            cacheClear = true;
-        } else if (a == "--help" || a == "-h") {
-            usage(0);
-        } else {
-            std::fprintf(stderr, "unknown option %s\n", a.c_str());
-            usage(1);
-        }
-    }
+    cli::Parser p("hintm_profile", "-h, --help");
+    cli::addWorkload(p, workload, "workload to profile (default intruder)");
+    cli::addScale(p, scale, cli::ScaleFlags::All);
+    cli::addSystem(p, opts, {"--htm", "--mech"});
+    p.option("--threads", "N", "override the workload's thread count",
+             threads_override);
+    cli::addSystem(p, opts, {"--seed", "--retries", "--preabort",
+                             "--preserve"});
+    p.option("--top", "N",
+             "sites in the attribution table, ranked by cycles lost "
+             "(default 10)",
+             top_n);
+    p.option("--window", "N",
+             "interval-sampler window in cycles (default: ~50 windows)",
+             window);
+    p.option("--capacity", "N",
+             "journal ring size in records (default 65536)",
+             opts.journalCapacity);
+    p.flag("--no-intervals", "skip the interval time-series table",
+           no_intervals);
+    cli::addObservability(p, nullptr, &opts.metrics, &perfettoPath,
+                          &statsJsonPath);
+    cli::addCache(p);
+    p.parseOrExit(argc, argv);
 
-    // Journal-carrying runs are never persisted, but the flags still
-    // configure the process-wide store (and --cache-clear works).
-    const std::string cache_dir =
-        cacheDir.empty() ? bench::ResultStore::defaultDir() : cacheDir;
-    if (cacheClear)
-        bench::ResultStore::clearDir(cache_dir);
-    bench::setDiskResultCache(cache_dir, !noDiskCache);
-
-    const bench::PreparedWorkload p = bench::prepare(workload, scale);
+    const bench::PreparedWorkload pw = bench::prepare(workload, scale);
     const unsigned threads =
-        threads_override ? threads_override : p.wl.threads;
+        threads_override ? threads_override : pw.wl.threads;
+    p.failOn(opts.validate(threads));
 
     std::printf("profiling %s (%u threads) under %s\n\n",
-                p.wl.name.c_str(), threads, opts.label().c_str());
+                pw.wl.name.c_str(), threads, opts.label().c_str());
 
     const std::vector<bench::MatrixJob> jobs = {
-        {&p, opts, threads_override}};
+        {&pw, opts, threads_override}};
     const sim::RunResult r = bench::runMatrix(jobs)[0];
     HINTM_ASSERT(r.journal != nullptr, "profiler run lost its journal");
 
@@ -213,7 +90,7 @@ main(int argc, char **argv)
 
     std::printf("\n-- abort attribution (top %zu sites) --\n%s", top_n,
                 sim::renderAttributionTable(*r.journal, top_n).c_str());
-    if (intervals) {
+    if (!no_intervals) {
         std::printf("\n-- interval time series --\n%s",
                     sim::renderIntervalTable(*r.journal, r.cycles, window)
                         .c_str());
@@ -221,7 +98,7 @@ main(int argc, char **argv)
 
     if (!perfettoPath.empty() || !statsJsonPath.empty()) {
         const std::vector<sim::JournalRun> runs = {
-            {p.wl.name, opts.label(), threads, &r}};
+            {pw.wl.name, opts.label(), threads, &r}};
         if (!perfettoPath.empty() &&
             sim::writePerfettoTrace(perfettoPath, runs))
             std::printf("\nperfetto trace: %s\n", perfettoPath.c_str());

@@ -18,7 +18,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -27,6 +26,7 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "cli.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "core/hintm.hh"
@@ -37,36 +37,6 @@ using namespace hintm;
 
 namespace
 {
-
-[[noreturn]] void
-usage(int code)
-{
-    std::printf(
-        "usage: hintm_report [options]\n"
-        "  --workload NAME     workload to analyze (default intruder)\n"
-        "  --scale S           tiny | small | large (default small)\n"
-        "  --tiny|--small|--large   shorthand for --scale S\n"
-        "  --htm KIND          p8 | p8s | l1tm | infcap (default p8)\n"
-        "  --threads N         override the workload's thread count\n"
-        "  --seed N            RNG seed (default 1)\n"
-        "  --retries N         transient-abort retries (default 8)\n"
-        "  --buffer N          TX buffer entries (default 64; small "
-        "values provoke capacity pressure)\n"
-        "  --preabort          convert capacity overflows to critical "
-        "sections\n"
-        "  --top N             sites in the pressure ranking "
-        "(default 10)\n"
-        "  --html              write a self-contained HTML report\n"
-        "  -o FILE             output file (default: stdout)\n"
-        "  --jobs N            host threads for the runner\n");
-    std::exit(code);
-}
-
-std::uint64_t
-parseNum(const char *s)
-{
-    return std::strtoull(s, nullptr, 0);
-}
 
 /** One report table, renderable as text or HTML. */
 struct Section
@@ -172,6 +142,7 @@ fixed1(double v)
 int
 main(int argc, char **argv)
 {
+    namespace cli = bench::cli;
     std::string workload = "intruder";
     workloads::Scale scale = workloads::Scale::Small;
     core::SystemOptions base;
@@ -181,68 +152,25 @@ main(int argc, char **argv)
     bool html = false;
     std::string outPath;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                usage(1);
-            return argv[++i];
-        };
-        if (a == "--workload") {
-            workload = next();
-        } else if (a == "--scale") {
-            const std::string s = next();
-            if (s == "tiny")
-                scale = workloads::Scale::Tiny;
-            else if (s == "small")
-                scale = workloads::Scale::Small;
-            else if (s == "large")
-                scale = workloads::Scale::Large;
-            else
-                usage(1);
-        } else if (a == "--tiny") {
-            scale = workloads::Scale::Tiny;
-        } else if (a == "--small") {
-            scale = workloads::Scale::Small;
-        } else if (a == "--large") {
-            scale = workloads::Scale::Large;
-        } else if (a == "--htm") {
-            const std::string s = next();
-            if (s == "p8")
-                base.htmKind = htm::HtmKind::P8;
-            else if (s == "p8s")
-                base.htmKind = htm::HtmKind::P8S;
-            else if (s == "l1tm")
-                base.htmKind = htm::HtmKind::L1TM;
-            else if (s == "infcap")
-                base.htmKind = htm::HtmKind::InfCap;
-            else
-                usage(1);
-        } else if (a == "--threads") {
-            threads_override = unsigned(parseNum(next()));
-        } else if (a == "--seed") {
-            base.seed = parseNum(next());
-        } else if (a == "--retries") {
-            base.maxRetries = unsigned(parseNum(next()));
-        } else if (a == "--buffer") {
-            base.bufferEntries = unsigned(parseNum(next()));
-        } else if (a == "--preabort") {
-            base.preAbortHandler = true;
-        } else if (a == "--top") {
-            top_n = std::size_t(parseNum(next()));
-        } else if (a == "--html") {
-            html = true;
-        } else if (a == "-o" || a == "--output") {
-            outPath = next();
-        } else if (a == "--jobs") {
-            host_jobs = unsigned(parseNum(next()));
-        } else if (a == "--help" || a == "-h") {
-            usage(0);
-        } else {
-            std::fprintf(stderr, "unknown option %s\n", a.c_str());
-            usage(1);
-        }
-    }
+    cli::Parser p("hintm_report", "-h, --help");
+    cli::addWorkload(p, workload, "workload to analyze (default intruder)");
+    cli::addScale(p, scale, cli::ScaleFlags::All);
+    cli::addSystem(p, base, {"--htm"});
+    p.option("--threads", "N", "override the workload's thread count",
+             threads_override);
+    cli::addSystem(p, base, {"--seed", "--retries"});
+    p.option("--buffer", "N",
+             "TX buffer entries (default 64; small values provoke\n"
+             "capacity pressure)",
+             base.bufferEntries);
+    cli::addSystem(p, base, {"--preabort"});
+    p.option("--top", "N", "sites in the pressure ranking (default 10)",
+             top_n);
+    p.flag("--html", "write a self-contained HTML report", html);
+    p.option("-o, --output", "FILE", "output file (default: stdout)",
+             outPath);
+    p.option("--jobs", "N", "host threads for the runner", host_jobs);
+    p.parseOrExit(argc, argv);
 
     base.journal = true;
     base.metrics = true;
@@ -252,12 +180,13 @@ main(int argc, char **argv)
     core::SystemOptions full = base;
     full.mechanism = core::Mechanism::Full;
 
-    const bench::PreparedWorkload p = bench::prepare(workload, scale);
+    const bench::PreparedWorkload pw = bench::prepare(workload, scale);
     const unsigned threads =
-        threads_override ? threads_override : p.wl.threads;
+        threads_override ? threads_override : pw.wl.threads;
+    p.failOn(base.validate(threads));
 
     const std::vector<bench::MatrixJob> jobs = {
-        {&p, baseline, threads_override}, {&p, full, threads_override}};
+        {&pw, baseline, threads_override}, {&pw, full, threads_override}};
     const std::vector<sim::RunResult> results =
         bench::runMatrix(jobs, host_jobs);
     const sim::RunResult &rb = results[0];
@@ -283,7 +212,7 @@ main(int argc, char **argv)
     std::vector<std::string> preamble;
     {
         std::ostringstream os;
-        os << "workload: " << p.wl.name << " (" << threads
+        os << "workload: " << pw.wl.name << " (" << threads
            << " threads), htm " << htm::htmKindName(base.htmKind)
            << ", seed " << base.seed;
         preamble.push_back(os.str());

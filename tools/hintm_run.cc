@@ -13,287 +13,102 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "bench_util.hh"
-#include "common/logging.hh"
+#include "cli.hh"
 #include "common/trace.hh"
 #include "core/hintm.hh"
-#include "result_store.hh"
 #include "sim/journal_io.hh"
 #include "workloads/workloads.hh"
 
 using namespace hintm;
 
-namespace
-{
-
-[[noreturn]] void
-usage(int code)
-{
-    std::printf(
-        "usage: hintm_run [options]\n"
-        "  --workload NAME     workload to run (--list to enumerate; "
-        "default kmeans)\n"
-        "  --scale S           tiny | small | large (default small)\n"
-        "  --tiny|--small|--large   shorthand for --scale S\n"
-        "  --htm KIND          p8 | p8s | l1tm | infcap (default p8)\n"
-        "  --mech M            baseline | static | dyn | full "
-        "(default full)\n"
-        "  --threads N         override the workload's thread count\n"
-        "  --cores N           physical cores (default 8)\n"
-        "  --smt N             hardware contexts per core (default 1)\n"
-        "  --seed N            RNG seed (default 1)\n"
-        "  --buffer N          TX buffer entries (default 64)\n"
-        "  --signature N       signature bits for p8s (default 1024)\n"
-        "  --retries N         transient-abort retries (default 8)\n"
-        "  --preserve          preserve-read-only page policy\n"
-        "  --notary            honor programmer page annotations\n"
-        "  --preabort          convert capacity overflows to critical "
-        "sections\n"
-        "  --policy P          conflict loser: attacker | requester\n"
-        "  --validate          check safe-store initializing property\n"
-        "  --profile           collect Fig.1-style sharing metrics\n"
-        "  --cdf               collect TX footprint CDFs\n"
-        "  --jobs N            host threads for the runner (default "
-        "hardware concurrency)\n"
-        "  --json FILE         write a per-run perf record to FILE\n"
-        "  --stats             dump raw memory/VM statistics\n"
-        "  --lint              run the static race-lint pass after hint\n"
-        "                      compilation; abort on any diagnostic\n"
-        "  --oracle            shadow-track safe accesses and report\n"
-        "                      conflicting remote writes (observation "
-        "only)\n"
-        "  --journal           record every TX attempt (observation "
-        "only)\n"
-        "  --metrics           collect capacity-pressure metrics "
-        "(observation only)\n"
-        "  --journal-capacity N  journal ring size in records "
-        "(default 65536)\n"
-        "  --perfetto [FILE]   write a Chrome-trace timeline (implies\n"
-        "                      --journal; default perfetto_trace.json)\n"
-        "  --stats-json [FILE] write a machine-readable stats record\n"
-        "                      (default stats.json)\n"
-        "  --no-snoop-filter   reference broadcast memory path "
-        "(cross-check)\n"
-        "  --no-directory      broadcast coherence instead of the owning "
-        "directory (cross-check)\n"
-        "  --numa-nodes N      two-tier NUMA latency model with N home "
-        "nodes (default 1 = flat)\n"
-        "  --numa-latency N    extra cycles for a remote-home bus "
-        "transaction (default 24)\n"
-        "  --no-decode-cache   reference Instr-walking interpreter "
-        "(cross-check)\n"
-        "  --no-sched-index    reference O(contexts) scheduler scan "
-        "(cross-check)\n"
-        "  --cache-dir DIR     persistent result-cache location "
-        "(default ~/.cache/hintm)\n"
-        "  --no-disk-cache     run without the persistent result cache\n"
-        "  --cache-clear       wipe the cache directory before running\n"
-        "  --no-prefix-fork    cold-start every simulation (no shared "
-        "init prefix)\n"
-        "  --trace CATS        trace categories (tx,htm,vm,mem,sched|all)\n"
-        "  --list              list workloads and exit\n");
-    std::exit(code);
-}
-
-std::uint64_t
-parseNum(const char *s)
-{
-    return std::strtoull(s, nullptr, 0);
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
+    namespace cli = bench::cli;
     std::string workload = "kmeans";
     workloads::Scale scale = workloads::Scale::Small;
     core::SystemOptions opts;
     opts.mechanism = core::Mechanism::Full;
     unsigned threads_override = 0;
     unsigned host_jobs = 0;
-    bool profile = false, cdf = false, stats = false;
+    bool profile = false, cdf = false, stats = false, list = false;
     std::string perfettoPath, statsJsonPath;
-    std::string cacheDir;
-    bool noDiskCache = false, cacheClear = false;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                usage(1);
-            return argv[++i];
-        };
-        if (a == "--workload") {
-            workload = next();
-        } else if (a == "--scale") {
-            const std::string s = next();
-            if (s == "tiny")
-                scale = workloads::Scale::Tiny;
-            else if (s == "small")
-                scale = workloads::Scale::Small;
-            else if (s == "large")
-                scale = workloads::Scale::Large;
-            else
-                usage(1);
-        } else if (a == "--tiny") {
-            scale = workloads::Scale::Tiny;
-        } else if (a == "--small") {
-            scale = workloads::Scale::Small;
-        } else if (a == "--large") {
-            scale = workloads::Scale::Large;
-        } else if (a == "--htm") {
-            const std::string s = next();
-            if (s == "p8")
-                opts.htmKind = htm::HtmKind::P8;
-            else if (s == "p8s")
-                opts.htmKind = htm::HtmKind::P8S;
-            else if (s == "l1tm")
-                opts.htmKind = htm::HtmKind::L1TM;
-            else if (s == "infcap")
-                opts.htmKind = htm::HtmKind::InfCap;
-            else
-                usage(1);
-        } else if (a == "--mech") {
-            const std::string s = next();
-            if (s == "baseline")
-                opts.mechanism = core::Mechanism::Baseline;
-            else if (s == "static")
-                opts.mechanism = core::Mechanism::StaticOnly;
-            else if (s == "dyn")
-                opts.mechanism = core::Mechanism::DynamicOnly;
-            else if (s == "full")
-                opts.mechanism = core::Mechanism::Full;
-            else
-                usage(1);
-        } else if (a == "--threads") {
-            threads_override = unsigned(parseNum(next()));
-        } else if (a == "--cores") {
-            opts.numCores = unsigned(parseNum(next()));
-        } else if (a == "--smt") {
-            opts.smtPerCore = unsigned(parseNum(next()));
-        } else if (a == "--seed") {
-            opts.seed = parseNum(next());
-        } else if (a == "--buffer") {
-            opts.bufferEntries = unsigned(parseNum(next()));
-        } else if (a == "--signature") {
-            opts.signatureBits = unsigned(parseNum(next()));
-        } else if (a == "--retries") {
-            opts.maxRetries = unsigned(parseNum(next()));
-        } else if (a == "--preserve") {
-            opts.preserveReadOnly = true;
-        } else if (a == "--notary") {
-            opts.notaryAnnotations = true;
-        } else if (a == "--preabort") {
-            opts.preAbortHandler = true;
-        } else if (a == "--policy") {
-            const std::string s = next();
-            if (s == "attacker")
-                opts.conflictPolicy = htm::ConflictPolicy::AttackerWins;
-            else if (s == "requester")
-                opts.conflictPolicy =
-                    htm::ConflictPolicy::RequesterLoses;
-            else
-                usage(1);
-        } else if (a == "--validate") {
-            opts.validateSafeStores = true;
-        } else if (a == "--profile") {
-            profile = true;
-        } else if (a == "--cdf") {
-            cdf = true;
-        } else if (a == "--jobs") {
-            host_jobs = unsigned(parseNum(next()));
-        } else if (a == "--json") {
-            bench::setJsonReport(next());
-        } else if (a == "--stats") {
-            stats = true;
-        } else if (a == "--lint") {
-            bench::setLintOnPrepare(true);
-        } else if (a == "--oracle") {
-            opts.hintOracle = true;
-        } else if (a == "--journal") {
-            opts.journal = true;
-        } else if (a == "--metrics") {
-            opts.metrics = true;
-        } else if (a == "--journal-capacity") {
-            opts.journalCapacity = std::size_t(parseNum(next()));
-            opts.journal = true;
-        } else if (a == "--perfetto") {
-            perfettoPath = "perfetto_trace.json";
-            if (i + 1 < argc && argv[i + 1][0] != '-')
-                perfettoPath = argv[++i];
-            opts.journal = true; // a timeline needs records
-        } else if (a == "--stats-json") {
-            statsJsonPath = "stats.json";
-            if (i + 1 < argc && argv[i + 1][0] != '-')
-                statsJsonPath = argv[++i];
-        } else if (a == "--no-snoop-filter") {
-            core::SystemOptions::setSnoopFilterDefault(false);
-            opts.snoopFilter = false;
-        } else if (a == "--no-directory") {
-            core::SystemOptions::setDirectoryDefault(false);
-            opts.directory = false;
-        } else if (a == "--numa-nodes") {
-            opts.numaNodes = unsigned(parseNum(next()));
-        } else if (a == "--numa-latency") {
-            opts.numaRemoteLatency = parseNum(next());
-        } else if (a == "--no-decode-cache") {
-            core::SystemOptions::setDecodeCacheDefault(false);
-            opts.decodeCache = false;
-        } else if (a == "--no-sched-index") {
-            core::SystemOptions::setSchedIndexDefault(false);
-            opts.schedIndex = false;
-        } else if (a == "--cache-dir") {
-            cacheDir = next();
-        } else if (a == "--no-disk-cache") {
-            noDiskCache = true;
-        } else if (a == "--cache-clear") {
-            cacheClear = true;
-        } else if (a == "--no-prefix-fork") {
-            bench::setPrefixFork(false);
-        } else if (a == "--trace") {
-            trace::enableFromSpec(next());
-        } else if (a == "--list") {
-            for (const auto &n : workloads::allNames())
-                std::printf("%s\n", n.c_str());
-            return 0;
-        } else if (a == "--help" || a == "-h") {
-            usage(0);
-        } else {
-            std::fprintf(stderr, "unknown option %s\n", a.c_str());
-            usage(1);
-        }
+    cli::Parser p("hintm_run", "-h, --help");
+    cli::addWorkload(p, workload,
+                     "workload to run (--list to enumerate; default "
+                     "kmeans)");
+    cli::addScale(p, scale, cli::ScaleFlags::All);
+    cli::addSystem(p, opts, {"--htm", "--mech"});
+    p.option("--threads", "N", "override the workload's thread count",
+             threads_override);
+    cli::addSystem(p, opts,
+                   {"--cores", "--smt", "--seed", "--buffer", "--signature",
+                    "--retries", "--preserve", "--notary", "--preabort",
+                    "--policy", "--validate"});
+    p.flag("--profile", "collect Fig.1-style sharing metrics", profile);
+    p.flag("--cdf", "collect TX footprint CDFs", cdf);
+    p.option("--jobs", "N",
+             "host threads for the runner (default hardware concurrency)",
+             host_jobs);
+    p.option("--json", "FILE", "write a per-run perf record to FILE",
+             [](const std::string &path) {
+                 bench::setJsonReport(path);
+                 return std::string();
+             });
+    p.flag("--stats", "dump raw memory/VM statistics", stats);
+    p.flag("--lint",
+           "run the static race-lint pass after hint\ncompilation; abort "
+           "on any diagnostic",
+           [] { bench::setLintOnPrepare(true); });
+    p.flag("--oracle",
+           "shadow-track safe accesses and report\nconflicting remote "
+           "writes (observation only)",
+           opts.hintOracle);
+    cli::addObservability(p, &opts.journal, &opts.metrics, &perfettoPath,
+                          &statsJsonPath);
+    p.option("--journal-capacity", "N",
+             "journal ring size in records (default 65536; implies "
+             "--journal)",
+             opts.journalCapacity, [&opts] { opts.journal = true; });
+    cli::addReferencePaths(p, &opts);
+    cli::addSystem(p, opts, {"--numa-nodes", "--numa-latency"});
+    cli::addCache(p);
+    p.option("--trace", "CATS", "trace categories (tx,htm,vm,mem,sched|all)",
+             [](const std::string &spec) {
+                 trace::enableFromSpec(spec);
+                 return std::string();
+             });
+    p.flag("--list", "list workloads and exit", list);
+    p.parseOrExit(argc, argv);
+    if (list) {
+        for (const auto &n : workloads::allNames())
+            std::printf("%s\n", n.c_str());
+        return 0;
     }
-    if (workload.empty())
-        usage(1);
-
-    const std::string cache_dir =
-        cacheDir.empty() ? bench::ResultStore::defaultDir() : cacheDir;
-    if (cacheClear)
-        bench::ResultStore::clearDir(cache_dir);
-    bench::setDiskResultCache(cache_dir, !noDiskCache);
 
     opts.profileSharing = profile;
     opts.collectTxSizes = cdf;
     opts.collectRawStats = stats;
 
-    const bench::PreparedWorkload p = bench::prepare(workload, scale);
-    const workloads::Workload &wl = p.wl;
+    const bench::PreparedWorkload pw = bench::prepare(workload, scale);
+    const workloads::Workload &wl = pw.wl;
     const unsigned threads =
         threads_override ? threads_override : wl.threads;
+    p.failOn(opts.validate(threads));
 
     std::printf("workload   : %s (%u threads)\n", wl.name.c_str(),
                 threads);
     std::printf("config     : %s, %u cores x %u SMT, buffer %u\n",
                 opts.label().c_str(), opts.numCores, opts.smtPerCore,
                 opts.bufferEntries);
-    std::printf("compiler   : %s\n\n", p.compileReport.summary().c_str());
+    std::printf("compiler   : %s\n\n", pw.compileReport.summary().c_str());
 
     const std::vector<bench::MatrixJob> jobs = {
-        {&p, opts, threads_override}};
+        {&pw, opts, threads_override}};
     const sim::RunResult r = bench::runMatrix(jobs, host_jobs)[0];
 
     std::printf("cycles            : %llu\n",
