@@ -1,6 +1,7 @@
 #include "machine.hh"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <sstream>
 #include <limits>
@@ -241,7 +242,9 @@ class Machine
      * picked context while it provably remains the unique earliest
      * (its readyAt strictly below every other eligible context's lower
      * bound and no cross-context mutation observed), touching the heap
-     * once per batch instead of once per step.
+     * once per batch instead of once per step. It also parks
+     * fallback-lock spinners off the index instead of re-stepping
+     * every re-check (parkSpinner).
      */
     void
     runLoop(std::uint64_t commit_target)
@@ -255,22 +258,43 @@ class Machine
             }
             return;
         }
-        const unsigned n = unsigned(ctxs_.size());
         while (res_.committedTxs < commit_target && sched_.anyLive()) {
-            const SchedIndex::Pick p = sched_.pick(rr_);
-            if (p.winner < 0)
+            // With the lock free, a parked spinner's next re-check is a
+            // real step: hand back every spinner due by the next pick.
+            if (spinCount_ && lockHolder_ < 0)
+                unparkSpinners(sched_.minKey());
+            const SchedIndex::Pick p = sched_.pick(
+                rr_, [this](std::uint64_t mask, unsigned) {
+                    return chooseAmidSpinners(mask, sched_.tieKey());
+                });
+            if (p.winner < 0) {
+                unparkSpinners();
                 deadlockPanic();
+            }
             const unsigned w = unsigned(p.winner);
             ContextState &cs = ctxs_[w];
+            // A context restored with a readyAt behind the clock (one
+            // preempted in an explorer snapshot) steps late, off the
+            // re-check grid the spinner ring assumes: never parked.
+            const bool on_time = p.key >= now_;
             now_ = std::max(now_, p.key);
             schedDirty_ = false;
+            spunIdle_ = false;
             step(w, now_);
-            rr_ = w + 1 == n ? 0 : w + 1;
-            while (!schedDirty_ && !cs.done && !cs.atBarrier &&
-                   cs.readyAt < p.bound &&
-                   res_.committedTxs < commit_target) {
+            rr_ = rrAfter(w);
+            // A batch also ends where a parked spinner re-checks the
+            // free lock: that re-check is a real step to pick.
+            while (!spunIdle_ && !schedDirty_ && !cs.done &&
+                   !cs.atBarrier && cs.readyAt < p.bound &&
+                   res_.committedTxs < commit_target &&
+                   !(spinCount_ && lockHolder_ < 0 &&
+                     spinRing_[spinHead_].next <= cs.readyAt)) {
                 now_ = std::max(now_, cs.readyAt);
+                // w is the only real step at now_; this folds the
+                // parked re-checks that precede it.
+                chooseAmidSpinners(std::uint64_t(1) << w, now_);
                 step(w, now_);
+                rr_ = rrAfter(w);
             }
             // Close the batch: republish w's scheduler state (its heap
             // entries at the picked key were consumed by pick()).
@@ -278,9 +302,15 @@ class Machine
                 sched_.retire(w);
             else if (cs.atBarrier)
                 sched_.block(w, cs.readyAt);
+            else if (spunIdle_ && on_time)
+                parkSpinner(w);
             else
                 sched_.setReady(w, cs.readyAt);
         }
+        // Hand the parked spinners back at their exact pending
+        // re-checks, so snapshot() and a resumed runLoop see exactly the
+        // reference state (rr_ and now_ already are).
+        unparkSpinners();
     }
 
     /**
@@ -458,6 +488,7 @@ class Machine
         HINTM_ASSERT(!cfg_.hintOracle,
                      "snapshot of a hint-oracle machine is unsupported");
         HINTM_ASSERT(!finalized_, "snapshot after finalization");
+        HINTM_ASSERT(spinMask_ == 0, "snapshot with parked spinners");
         MachineSnapshot s;
         s.program = prog_.saveState();
         s.mem = mem_->saveState();
@@ -743,6 +774,9 @@ class Machine
         if (lockHolder_ >= 0) {
             // Someone is in the software fallback: wait for release.
             cs.readyAt = now + cost + cfg_.fallbackSpinCycles;
+            // A zero-cost re-check repeats with period
+            // fallbackSpinCycles until release: parkable.
+            spunIdle_ = cost == 0 && cfg_.fallbackSpinCycles > 0;
             noteEvent(SchedEvent::LockSpin);
             return;
         }
@@ -976,6 +1010,15 @@ class Machine
             shootdownCycles_ += cfg_.vm.shootdownInitiatorCycles;
             for (const auto &[victim, slave] : tr.slaveCosts) {
                 ContextState &vs = ctxs_[std::size_t(victim)];
+                if (spinMask_ >> victim & 1) {
+                    // A parked spinner's readyAt is its next pending
+                    // re-check; it rejoins the index from there.
+                    vs.readyAt = unparkSpinner(unsigned(victim)) + slave;
+                    shootdownCycles_ += slave;
+                    sched_.unblock(unsigned(victim), vs.readyAt);
+                    schedDirty_ = true;
+                    continue;
+                }
                 vs.readyAt = std::max(vs.readyAt, now) + slave;
                 shootdownCycles_ += slave;
                 if (useSchedIndex_) {
@@ -1353,6 +1396,189 @@ class Machine
         schedDirty_ = false;
     }
 
+    /*
+     * Fallback-lock spin elision (the uncontrolled indexed runLoop).
+     *
+     * A context whose TxBegin finds the lock held, at no cost beyond the
+     * re-check, is stepped again every P = fallbackSpinCycles until the
+     * lock frees, and each of those steps changes nothing but its own
+     * readyAt and the round-robin cursor rr_. parkSpinner() takes such a
+     * context off the index; its re-checks become virtual steps at
+     * t0 + P, t0 + 2P, ... Parked spinners sit in groups of equal next
+     * re-check, in a ring ordered by that cycle. All of a ring's cycles
+     * lie in one window [head.next, head.next + P), so a group that
+     * re-checks moves from the head to the tail.
+     *
+     * A re-check is virtual only while the lock is held, and then rr_ is
+     * its only visible effect; every place that can observe one
+     * reconstructs it:
+     *  - fold: before each real step at cycle t with the lock held, every
+     *    group due before t is passed in order; stepping a group in
+     *    rotation from rr_ leaves rr_ one past the member that rotation
+     *    visits last.
+     *  - same cycle: spinners due at t interleave with the contexts tied
+     *    at t in rotation order. The real pick is the first tied context
+     *    at or after the folded rr_; the due spinners between rr_ and it
+     *    step first and leave spinDue_.
+     *  - free lock: after a release, a re-check is a real step again.
+     *    Before each pick, the spinners due by the index's earliest
+     *    readyAt go back to it at their pending re-checks, and a batch
+     *    stops short of a spinner's re-check. Spinners due only after the
+     *    next acquisition never leave the ring.
+     *  - a TLB shootdown on a spinner sends it back at its pending
+     *    re-check plus the slave cost, as the reference bump would.
+     *  - runLoop exit sends all of them back, so the context state a
+     *    snapshot records is the reference's.
+     */
+
+    /** rr_ after stepping context @p c. */
+    unsigned
+    rrAfter(unsigned c) const
+    {
+        return c + 1 == ctxs_.size() ? 0 : c + 1;
+    }
+
+    /** Contexts a rotation starting at @p from visits before @p to. */
+    static std::uint64_t
+    rotationBefore(unsigned from, unsigned to)
+    {
+        const std::uint64_t lo = (std::uint64_t(1) << from) - 1;
+        const std::uint64_t hi = (std::uint64_t(1) << to) - 1;
+        return from <= to ? hi & ~lo : hi | ~lo;
+    }
+
+    /** The indexed loop's tie-break for a real step at cycle @p t among
+     * the tied contexts @p mask: the reference rule, applied after the
+     * parked spinners' virtual steps that precede it. */
+    unsigned
+    chooseAmidSpinners(std::uint64_t mask, Cycle t)
+    {
+        if (spinCount_ == 0)
+            return defaultTieBreak(mask, rr_);
+        // Nothing parked is due by t unless the lock is held (runLoop
+        // hands spinners back first while it is free).
+        while (spinRing_[spinHead_].next < t)
+            passSpinGroup();
+        const unsigned w = defaultTieBreak(mask, rr_);
+        if (spinRing_[spinHead_].next == t)
+            spinDue_ &= ~rotationBefore(rr_, w);
+        return w;
+    }
+
+    /** Step the head group's due spinners virtually and requeue the
+     * group at its next re-check. */
+    void
+    passSpinGroup()
+    {
+        SpinGroup g = spinRing_[spinHead_];
+        if (spinDue_) {
+            // The last spinner the rotation from rr_ visits: the highest
+            // below rr_, else the highest overall.
+            const std::uint64_t below =
+                spinDue_ & ((std::uint64_t(1) << rr_) - 1);
+            rr_ = rrAfter(
+                unsigned(63 - std::countl_zero(below ? below : spinDue_)));
+        }
+        g.next += cfg_.fallbackSpinCycles;
+        spinHead_ = (spinHead_ + 1) % spinRingSize;
+        spinRing_[(spinHead_ + spinCount_ - 1) % spinRingSize] = g;
+        spinDue_ = spinRing_[spinHead_].mask;
+    }
+
+    /** Take context @p c off the index after a zero-cost spin at now_
+     * (its readyAt is now_ + P). */
+    void
+    parkSpinner(unsigned c)
+    {
+        const std::uint64_t bit = std::uint64_t(1) << c;
+        const Cycle next = ctxs_[c].readyAt;
+        HINTM_ASSERT(next == now_ + cfg_.fallbackSpinCycles,
+                     "parked spinner off its re-check period");
+        sched_.block(c, next);
+        spinMask_ |= bit;
+        if (spinCount_) {
+            SpinGroup &head = spinRing_[spinHead_];
+            if (head.next == now_) {
+                // Same phase as the head group, which is due now: join
+                // it for its next round (not due now: not in spinDue_).
+                head.mask |= bit;
+                return;
+            }
+            // Every group is due in (now_, next]; only one parked this
+            // cycle can be due at next itself, and it is the tail.
+            SpinGroup &tail =
+                spinRing_[(spinHead_ + spinCount_ - 1) % spinRingSize];
+            if (tail.next == next) {
+                tail.mask |= bit;
+                if (spinCount_ == 1)
+                    spinDue_ |= bit;
+                return;
+            }
+        }
+        HINTM_ASSERT(spinCount_ < spinRingSize,
+                     "spinner ring overflow");
+        spinRing_[(spinHead_ + spinCount_) % spinRingSize] = {next, bit};
+        if (spinCount_++ == 0)
+            spinDue_ = bit;
+    }
+
+    /** Pending re-check of parked spinner @p c in ring slot @p i. */
+    Cycle
+    spinnerDue(unsigned i, unsigned c) const
+    {
+        const SpinGroup &g = spinRing_[(spinHead_ + i) % spinRingSize];
+        return i == 0 && !(spinDue_ >> c & 1)
+                   ? g.next + cfg_.fallbackSpinCycles
+                   : g.next;
+    }
+
+    /** Remove parked spinner @p c from the ring; returns its pending
+     * re-check. The caller puts it back on the index. */
+    Cycle
+    unparkSpinner(unsigned c)
+    {
+        const std::uint64_t bit = std::uint64_t(1) << c;
+        spinMask_ &= ~bit;
+        for (unsigned i = 0; i < spinCount_; ++i) {
+            SpinGroup &g = spinRing_[(spinHead_ + i) % spinRingSize];
+            if (!(g.mask & bit))
+                continue;
+            const Cycle due = spinnerDue(i, c);
+            g.mask &= ~bit;
+            if (i == 0)
+                spinDue_ &= ~bit;
+            if (g.mask == 0) {
+                for (unsigned j = i; j + 1 < spinCount_; ++j)
+                    spinRing_[(spinHead_ + j) % spinRingSize] =
+                        spinRing_[(spinHead_ + j + 1) % spinRingSize];
+                --spinCount_;
+                if (i == 0)
+                    spinDue_ =
+                        spinCount_ ? spinRing_[spinHead_].mask : 0;
+            }
+            return due;
+        }
+        HINTM_PANIC("parked spinner missing from the ring");
+    }
+
+    /** Put the parked spinners of every group due by cycle @p by back
+     * on the index at their pending re-checks. */
+    void
+    unparkSpinners(Cycle by = farFuture)
+    {
+        while (spinCount_ && spinRing_[spinHead_].next <= by) {
+            const SpinGroup &g = spinRing_[spinHead_];
+            for (std::uint64_t m = g.mask; m; m &= m - 1) {
+                const unsigned c = unsigned(std::countr_zero(m));
+                ctxs_[c].readyAt = spinnerDue(0, c);
+                sched_.unblock(c, ctxs_[c].readyAt);
+            }
+            spinMask_ &= ~g.mask;
+            spinHead_ = (spinHead_ + 1) % spinRingSize;
+            spinDue_ = --spinCount_ ? spinRing_[spinHead_].mask : 0;
+        }
+    }
+
     /** The scheduler found live contexts but nothing runnable — a
      * simulator bug. Dump every context's scheduler-visible state
      * before going down. */
@@ -1407,6 +1633,24 @@ class Machine
      * the current batch's uniqueness proof no longer holds, so the
      * loop returns to the index for the next pick. */
     bool schedDirty_ = false;
+    /** Parked fallback-lock spinners (see parkSpinner): groups of equal
+     * next re-check in a ring ordered by it. Empty outside runLoop. */
+    struct SpinGroup
+    {
+        Cycle next;
+        std::uint64_t mask;
+    };
+    static constexpr unsigned spinRingSize = SchedIndex::maxContexts;
+    std::array<SpinGroup, spinRingSize> spinRing_{};
+    unsigned spinHead_ = 0;
+    unsigned spinCount_ = 0;
+    /** Head-group members still due at its next re-check; the rest
+     * re-check one period later (they stepped or parked this cycle). */
+    std::uint64_t spinDue_ = 0;
+    /** Every parked spinner. */
+    std::uint64_t spinMask_ = 0;
+    /** The step just taken was a zero-cost fallback-lock spin. */
+    bool spunIdle_ = false;
     bool finalized_ = false;
     /** Scheduler nondeterminism hook (null = reference behavior). */
     ScheduleController *ctrl_ = nullptr;

@@ -22,7 +22,8 @@
  *
  *  - Ties persist across picks in a cached bucket (mask + key) instead
  *    of being re-pushed and re-popped each pick. Lockstep phases and
- *    fallback-lock convoys put most of the machine at one readyAt;
+ *    barrier releases put most of the machine at one readyAt (convoy
+ *    spinners mostly do not reach the index: the machine parks them);
  *    serving those picks straight from the bucket keeps the per-step
  *    cost O(1) where bucket-free lazy deletion would degrade to
  *    O(ties log n) — worse than the scan it replaces. A second bucket
@@ -196,6 +197,31 @@ class SchedIndex
     }
 
     bool anyLive() const { return live_ != 0; }
+
+    /** Earliest readyAt among eligible contexts — the key the next
+     * pick() will take — or the far future when none is eligible. */
+    Cycle
+    minKey()
+    {
+        Cycle k = std::numeric_limits<Cycle>::max();
+        if (dense()) {
+            for (std::uint64_t m = eligible_; m; m &= m - 1)
+                k = std::min(k, ready_[unsigned(std::countr_zero(m))]);
+            return k;
+        }
+        if (tie_)
+            return tieKey_;
+        if (next_)
+            k = nextKey_;
+        if (dropStale())
+            k = std::min(k, heap_.front().key);
+        return k;
+    }
+
+    /** Readiness cycle of the tie a pick() Chooser is deciding: valid
+     * only inside the chooser, so it can order the tie against other
+     * events due in the same cycle. */
+    Cycle tieKey() const { return tieKey_; }
     std::uint64_t liveMask() const { return live_; }
     std::uint64_t eligibleMask() const { return eligible_; }
 
@@ -293,6 +319,7 @@ class SchedIndex
         }
         if (tie == 0)
             return p;
+        tieKey_ = best; // for tieKey(); unused otherwise in dense mode
         const unsigned w = choose(tie, rr);
         HINTM_ASSERT(w < n_ && (tie >> w & 1),
                      "tie-break chose a context outside the tie mask");
@@ -412,7 +439,8 @@ class SchedIndex
     std::uint64_t eligible_ = 0;
     /** Contexts whose readyAt is exactly tieKey_ — the live tie bucket.
      * While non-empty, tieKey_ is the minimum over all eligible
-     * contexts (bits are cleared eagerly on every state change). */
+     * contexts (bits are cleared eagerly on every state change). Dense
+     * mode keeps no bucket and stores only the key being chosen. */
     std::uint64_t tie_ = 0;
     Cycle tieKey_ = 0;
     /** Contexts whose readyAt is exactly nextKey_ — republishes that

@@ -12,10 +12,12 @@
 
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "../bench/result_store.hh"
 #include "core/hintm.hh"
 #include "sim/journal_io.hh"
+#include "sim/schedule.hh"
 #include "sim/snapshot.hh"
 #include "workloads/workloads.hh"
 
@@ -49,6 +51,36 @@ expectSameResult(const sim::RunResult &a, const sim::RunResult &b,
     EXPECT_EQ(bench::encodeRunResult(a), bench::encodeRunResult(b))
         << what;
 }
+
+/** The per-spin reference schedule, tracking how many consecutive
+ * LockSpin events each context has produced since its last other
+ * event: a streak of two or more is a zero-cost re-check, which the
+ * uncontrolled scheduler would have parked. */
+class SpinStreaks : public sim::DefaultScheduleController
+{
+  public:
+    explicit SpinStreaks(unsigned contexts) : streak_(contexts, 0) {}
+
+    bool
+    onDecision(const sim::SchedDecision &d) override
+    {
+        streak_[d.ctx] =
+            d.event == sim::SchedEvent::LockSpin ? streak_[d.ctx] + 1 : 0;
+        return false;
+    }
+
+    unsigned
+    waiting() const
+    {
+        unsigned n = 0;
+        for (unsigned s : streak_)
+            n += s >= 2;
+        return n;
+    }
+
+  private:
+    std::vector<unsigned> streak_;
+};
 
 } // namespace
 
@@ -289,4 +321,63 @@ TEST(Snapshot, SnapshotItselfPerturbsNothing)
         (void)a.snapshot();
     }
     expectSameResult(cold, a.finish(), "observed-run");
+}
+
+TEST(Snapshot, MidConvoySnapshotsMatchThePerSpinReference)
+{
+    // The indexed scheduler parks fallback-lock spinners and hands them
+    // back with their exact pending re-checks when the lock is released
+    // or the run loop exits. Chunked at every commit on the 64-context
+    // convoy, its snapshots must carry exactly the per-context readyAt,
+    // rr and now of the per-spin reference at the same commit count;
+    // the snapshot with the most re-checking spinners must restore into
+    // fresh indexed and scan machines that finish like the cold run.
+    workloads::Workload wl =
+        workloads::byName("tpcc-p@64", workloads::Scale::Tiny);
+    core::compileHints(wl.module);
+    core::SystemOptions opts = observedOpts(htm::HtmKind::P8);
+    opts.numCores = 64;
+    opts.numaNodes = 4;
+    const sim::MachineConfig cfg = core::makeMachineConfig(opts);
+    ASSERT_TRUE(cfg.schedIndex);
+
+    const sim::RunResult cold =
+        sim::runMachine(cfg, wl.module, wl.threads);
+
+    SpinStreaks streaks(wl.threads);
+    sim::MachineConfig ref_cfg = cfg;
+    ref_cfg.scheduleController = &streaks;
+    sim::SimRun ref(ref_cfg, wl.module, wl.threads);
+    sim::SimRun elided(cfg, wl.module, wl.threads);
+
+    unsigned most_waiting = 0;
+    sim::MachineSnapshot convoy;
+    for (std::uint64_t k = 1; !ref.finished(); ++k) {
+        ref.runUntilCommits(k);
+        elided.runUntilCommits(k);
+        ASSERT_EQ(elided.committedTxs(), ref.committedTxs());
+        const sim::MachineSnapshot e = elided.snapshot();
+        const sim::MachineSnapshot r = ref.snapshot();
+        ASSERT_EQ(e.now, r.now) << "commit " << k;
+        ASSERT_EQ(e.rr, r.rr) << "commit " << k;
+        for (unsigned c = 0; c < wl.threads; ++c)
+            ASSERT_EQ(e.ctxs[c].readyAt, r.ctxs[c].readyAt)
+                << "commit " << k << " ctx " << c;
+        if (streaks.waiting() > most_waiting) {
+            most_waiting = streaks.waiting();
+            convoy = e;
+        }
+    }
+    EXPECT_GE(most_waiting, 8u);
+    expectSameResult(cold, elided.finish(), "commit-chunked elided run");
+
+    sim::SimRun indexed(cfg, wl.module, wl.threads);
+    indexed.restore(convoy);
+    expectSameResult(cold, indexed.finish(), "mid-convoy indexed restore");
+
+    sim::MachineConfig scan_cfg = cfg;
+    scan_cfg.schedIndex = false;
+    sim::SimRun scanned(scan_cfg, wl.module, wl.threads);
+    scanned.restore(convoy);
+    expectSameResult(cold, scanned.finish(), "mid-convoy scan restore");
 }
