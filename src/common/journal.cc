@@ -70,25 +70,20 @@ TxJournal::push(const TxRecord &r)
     }
     switch (r.outcome) {
       case TxOutcome::Commit:
-        ++totals_.commits;
         ++s.commits;
         s.footprintSum += r.readBlocks + r.writeBlocks;
         break;
       case TxOutcome::FallbackCommit:
-        ++totals_.fallbackCommits;
         ++s.fallbackCommits;
         break;
       case TxOutcome::ConvertedCommit:
-        ++totals_.convertedCommits;
         ++s.convertedCommits;
         break;
       case TxOutcome::Abort: {
         const unsigned reason = std::min<unsigned>(r.reason,
                                                    maxReasons - 1);
-        ++totals_.aborts[reason];
         ++s.aborts[reason];
         const Cycle lost = r.end >= r.begin ? r.end - r.begin : 0;
-        totals_.cyclesLostToAborts += lost;
         s.cyclesLostToAborts += lost;
         if (r.offendingValid) {
             auto hot = std::find_if(s.hotBlocks.begin(),
@@ -108,6 +103,22 @@ TxJournal::push(const TxRecord &r)
         break;
       }
     }
+}
+
+TxJournal::Totals
+TxJournal::totals() const
+{
+    Totals t;
+    for (const auto &kv : sites_) {
+        const SiteStats &s = kv.second;
+        t.commits += s.commits;
+        t.fallbackCommits += s.fallbackCommits;
+        t.convertedCommits += s.convertedCommits;
+        for (unsigned i = 0; i < maxReasons; ++i)
+            t.aborts[i] += s.aborts[i];
+        t.cyclesLostToAborts += s.cyclesLostToAborts;
+    }
+    return t;
 }
 
 std::size_t

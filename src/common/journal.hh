@@ -2,8 +2,9 @@
  * @file
  * Per-transaction observability journal: a bounded ring of POD records,
  * one per TX attempt (hardware, fallback, or converted), plus exact
- * drop-immune aggregates folded at push time — per-site outcome/abort
- * counters with the hottest offending blocks, and whole-run totals.
+ * drop-immune aggregates folded at push time: per-site outcome/abort
+ * counters with the hottest offending blocks. Whole-run totals are
+ * their sum.
  *
  * The journal is strictly observational: the simulation never reads it,
  * so results are bit-identical with it on or off. Memory is bounded by
@@ -133,7 +134,8 @@ class TxJournal
     /** Chronological access to retained records: 0 = oldest. */
     const TxRecord &at(std::size_t i) const;
 
-    /** Exact whole-run totals (never affected by ring drops). */
+    /** Exact whole-run totals (never affected by ring drops): the sum
+     * of the per-site aggregates. */
     struct Totals
     {
         std::uint64_t commits = 0;
@@ -159,7 +161,7 @@ class TxJournal
         }
     };
 
-    const Totals &totals() const { return totals_; }
+    Totals totals() const;
 
     /** One offending block and how often it killed TXs at a site. */
     struct HotBlock
@@ -240,7 +242,6 @@ class TxJournal
     std::size_t capacity_;
     std::vector<TxRecord> ring_;
     std::uint64_t pushed_ = 0;
-    Totals totals_;
     std::unordered_map<std::uint64_t, SiteStats> sites_;
     std::vector<std::string> fnNames_;
 };

@@ -71,87 +71,5 @@ Distribution::quantile(double q) const
     return max_;
 }
 
-Counter &
-StatGroup::counter(const std::string &name)
-{
-    return counters_[name];
-}
-
-Distribution &
-StatGroup::distribution(const std::string &name, std::uint64_t bucket_width,
-                        std::size_t num_buckets)
-{
-    auto it = distributions_.find(name);
-    if (it == distributions_.end()) {
-        it = distributions_
-                 .emplace(name, Distribution(bucket_width, num_buckets))
-                 .first;
-    }
-    return it->second;
-}
-
-StatGroup::Values
-StatGroup::values() const
-{
-    Values v;
-    v.counters = counters_;
-    for (const auto &kv : distributions_)
-        v.distributions.emplace(kv.first, kv.second.image());
-    return v;
-}
-
-void
-StatGroup::setValues(const Values &v)
-{
-    for (const auto &kv : v.counters) {
-        const auto it = counters_.find(kv.first);
-        HINTM_ASSERT(it != counters_.end(), "setValues: unknown counter ",
-                     name_, ".", kv.first);
-        it->second = kv.second;
-    }
-    for (const auto &kv : v.distributions) {
-        const auto it = distributions_.find(kv.first);
-        HINTM_ASSERT(it != distributions_.end(),
-                     "setValues: unknown distribution ", name_, ".",
-                     kv.first);
-        it->second.setImage(kv.second);
-    }
-}
-
-void
-StatGroup::addChild(StatGroup *child)
-{
-    HINTM_ASSERT(child != nullptr, "null child group");
-    children_.push_back(child);
-}
-
-void
-StatGroup::reset()
-{
-    for (auto &kv : counters_)
-        kv.second.reset();
-    for (auto &kv : distributions_)
-        kv.second.reset();
-    for (auto *child : children_)
-        child->reset();
-}
-
-void
-StatGroup::dump(std::ostream &os, const std::string &prefix) const
-{
-    const std::string full =
-        prefix.empty() ? name_ : prefix + "." + name_;
-    for (const auto &kv : counters_)
-        os << full << "." << kv.first << " " << kv.second.value() << "\n";
-    for (const auto &kv : distributions_) {
-        const auto &d = kv.second;
-        os << full << "." << kv.first << ".count " << d.count() << "\n";
-        os << full << "." << kv.first << ".mean " << d.mean() << "\n";
-        os << full << "." << kv.first << ".max " << d.max() << "\n";
-    }
-    for (const auto *child : children_)
-        child->dump(os, full);
-}
-
 } // namespace stats
 } // namespace hintm

@@ -1,17 +1,14 @@
 /**
  * @file
- * Lightweight statistics package: named scalar counters, distributions and
- * histograms grouped into StatGroups, with a plain-text table dumper. The
- * design follows gem5's stats package in spirit, sized for this simulator.
+ * Sample distributions: moments plus a fixed-width bucket histogram.
+ * Scalar counters are plain struct fields in each component (HtmStats,
+ * mem::MemStats, vm::VmStats), so they copy with the component's state.
  */
 
 #ifndef HINTM_COMMON_STATS_HH
 #define HINTM_COMMON_STATS_HH
 
 #include <cstdint>
-#include <map>
-#include <ostream>
-#include <string>
 #include <vector>
 
 #include "logging.hh"
@@ -20,19 +17,6 @@ namespace hintm
 {
 namespace stats
 {
-
-/** Monotonic scalar statistic. */
-class Counter
-{
-  public:
-    Counter &operator++() { ++value_; return *this; }
-    Counter &operator+=(std::uint64_t v) { value_ += v; return *this; }
-    void reset() { value_ = 0; }
-    std::uint64_t value() const { return value_; }
-
-  private:
-    std::uint64_t value_ = 0;
-};
 
 /**
  * Sample distribution tracking count/sum/min/max plus a fixed-width bucket
@@ -71,7 +55,7 @@ class Distribution
     /**
      * Exact internal state, including the raw min sentinel (~0 when the
      * distribution is empty, which the min() accessor masks). Used by the
-     * machine snapshot machinery, which needs bit-identical restores.
+     * on-disk result store, which needs bit-identical round trips.
      */
     struct Image
     {
@@ -109,66 +93,6 @@ class Distribution
     std::uint64_t sum_ = 0;
     std::uint64_t min_ = ~std::uint64_t(0);
     std::uint64_t max_ = 0;
-};
-
-/**
- * A named collection of statistics. Groups may nest; dump() walks the tree
- * and prints "group.name value" lines, gem5-stats style.
- */
-class StatGroup
-{
-  public:
-    explicit StatGroup(std::string name) : name_(std::move(name)) {}
-
-    /** Register (or fetch) a named counter. */
-    Counter &counter(const std::string &name);
-
-    /** Register (or fetch) a named distribution. */
-    Distribution &distribution(const std::string &name,
-                               std::uint64_t bucket_width = 1,
-                               std::size_t num_buckets = 128);
-
-    /** Attach a child group; the pointer stays owned by the caller. */
-    void addChild(StatGroup *child);
-
-    /** Reset every statistic in this group and its children. */
-    void reset();
-
-    /** Dump all statistics as "prefix.name value" lines. */
-    void dump(std::ostream &os, const std::string &prefix = "") const;
-
-    const std::string &name() const { return name_; }
-
-    const std::map<std::string, Counter> &counters() const
-    {
-        return counters_;
-    }
-
-    /**
-     * Value-only snapshot of this group's own statistics (children are
-     * not included; snapshot callers walk the tree themselves).
-     */
-    struct Values
-    {
-        std::map<std::string, Counter> counters;
-        std::map<std::string, Distribution::Image> distributions;
-    };
-
-    Values values() const;
-
-    /**
-     * Restore previously captured values. Every key must already be
-     * registered: values are assigned into the existing map nodes so
-     * that cached Counter/Distribution pointers held by hot paths stay
-     * valid across a restore.
-     */
-    void setValues(const Values &v);
-
-  private:
-    std::string name_;
-    std::map<std::string, Counter> counters_;
-    std::map<std::string, Distribution> distributions_;
-    std::vector<StatGroup *> children_;
 };
 
 } // namespace stats

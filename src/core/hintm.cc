@@ -122,6 +122,16 @@ SystemOptions::validate(unsigned threads) const
         errs.push_back("the core count must be at least 1");
     if (smtPerCore < 1)
         errs.push_back("SMT contexts per core must be at least 1");
+    if (numCores > sim::maxContexts) {
+        errs.push_back(detail::concat(numCores, " cores exceed the ",
+                                      sim::maxContexts,
+                                      "-context machine limit"));
+    }
+    if (threads > sim::maxContexts) {
+        errs.push_back(detail::concat(threads, " threads exceed the ",
+                                      sim::maxContexts,
+                                      "-context machine limit"));
+    }
     if (numCores >= 1 && smtPerCore >= 1 &&
         threads > std::uint64_t(numCores) * smtPerCore) {
         errs.push_back(detail::concat(

@@ -69,11 +69,11 @@ effectiveBufferEntries(const HtmConfig &cfg)
 
 HtmController::HtmController(const HtmConfig &cfg, mem::ContextId self,
                              HtmStats *sys_stats)
-    : cfg_(cfg), self_(self), stats_(sys_stats),
-      buffer_(effectiveBufferEntries(cfg)),
-      signature_(cfg.signatureBits, cfg.signatureHashes)
+    : cfg_(cfg), self_(self), stats_(sys_stats)
 {
     HINTM_ASSERT(sys_stats != nullptr, "controller needs a stats sink");
+    st_.buffer = TxBuffer(effectiveBufferEntries(cfg));
+    st_.signature = Signature(cfg.signatureBits, cfg.signatureHashes);
 }
 
 void
@@ -87,16 +87,16 @@ void
 HtmController::publishInterest()
 {
     if (interestHook_)
-        interestHook_(inTx_ && !abortPending_);
+        interestHook_(st_.inTx && !st_.abortPending);
 }
 
 void
 HtmController::beginTx(Cycle now)
 {
-    HINTM_ASSERT(!inTx_, "nested TX begin on context ", self_);
-    HINTM_ASSERT(!abortPending_, "begin with unacknowledged abort");
-    inTx_ = true;
-    txStart_ = now;
+    HINTM_ASSERT(!st_.inTx, "nested TX begin on context ", self_);
+    HINTM_ASSERT(!st_.abortPending, "begin with unacknowledged abort");
+    st_.inTx = true;
+    st_.txStart = now;
     ++stats_->begins;
     publishInterest();
 }
@@ -104,7 +104,7 @@ HtmController::beginTx(Cycle now)
 std::uint8_t
 HtmController::trackAccess(Addr addr, AccessType type, bool safe)
 {
-    if (!inTx_ || abortPending_)
+    if (!st_.inTx || st_.abortPending)
         return TrackFailed;
     if (safe) {
         // The whole point of HinTM: safe accesses consume no tracking
@@ -115,7 +115,7 @@ HtmController::trackAccess(Addr addr, AccessType type, bool safe)
     }
     const Addr block = blockAlign(addr);
 
-    if (const std::uint8_t tr = buffer_.track(block, type)) {
+    if (const std::uint8_t tr = st_.buffer.track(block, type)) {
         if (dir_)
             dir_->txTrack(block, unsigned(self_));
         return tr & (NewlyRead | NewlyWritten);
@@ -125,8 +125,8 @@ HtmController::trackAccess(Addr addr, AccessType type, bool safe)
     if (cfg_.kind == HtmKind::P8S) {
         if (type == AccessType::Read) {
             // Reads spill into the signature instead of aborting.
-            signature_.insert(block);
-            const bool is_new = overflowReads_.insert(block);
+            st_.signature.insert(block);
+            const bool is_new = st_.overflowReads.insert(block);
             if (dir_) {
                 dir_->txTrack(block, unsigned(self_));
                 dir_->setSigActive(unsigned(self_), true);
@@ -137,15 +137,15 @@ HtmController::trackAccess(Addr addr, AccessType type, bool safe)
         // Writes need real buffering: displace a read-only entry into
         // the signature to make room. Only a full buffer of written
         // blocks is a true (writeset) capacity overflow.
-        const Addr victim = buffer_.findReadOnlyVictim();
+        const Addr victim = st_.buffer.findReadOnlyVictim();
         if (victim != ~Addr(0)) {
-            // The victim moves to overflowReads_, so its directory
+            // The victim moves to the spilled reads, so its directory
             // tracker registration stays valid.
-            buffer_.erase(victim);
-            signature_.insert(victim);
-            overflowReads_.insert(victim);
+            st_.buffer.erase(victim);
+            st_.signature.insert(victim);
+            st_.overflowReads.insert(victim);
             ++stats_->signatureSpills;
-            const std::uint8_t tr = buffer_.track(block, type);
+            const std::uint8_t tr = st_.buffer.track(block, type);
             HINTM_ASSERT(tr, "buffer still full after displacement");
             if (dir_) {
                 dir_->txTrack(block, unsigned(self_));
@@ -156,8 +156,8 @@ HtmController::trackAccess(Addr addr, AccessType type, bool safe)
     }
     if (cfg_.preAbortHandler) {
         // Defer: the runtime decides between conversion and abort.
-        capacityPending_ = true;
-        capacityPendingBlock_ = block;
+        st_.capacityPending = true;
+        st_.capacityPendingBlock = block;
         return TrackFailed;
     }
     triggerAbort(AbortReason::Capacity, block, true, -1);
@@ -167,16 +167,16 @@ HtmController::trackAccess(Addr addr, AccessType type, bool safe)
 void
 HtmController::noteSafePageRead(Addr page_num)
 {
-    if (inTx_ && !abortPending_)
-        safePages_.insert(page_num);
+    if (st_.inTx && !st_.abortPending)
+        st_.safePages.insert(page_num);
 }
 
 void
 HtmController::commitTx(Cycle now)
 {
     (void)now;
-    HINTM_ASSERT(inTx_, "commit outside TX on context ", self_);
-    HINTM_ASSERT(!abortPending_, "commit with pending abort");
+    HINTM_ASSERT(st_.inTx, "commit outside TX on context ", self_);
+    HINTM_ASSERT(!st_.abortPending, "commit with pending abort");
     ++stats_->commits;
     stats_->trackedAtCommit.sample(trackedBlocks());
     clearTxState();
@@ -185,11 +185,11 @@ HtmController::commitTx(Cycle now)
 AbortReason
 HtmController::acknowledgeAbort(Cycle now)
 {
-    HINTM_ASSERT(abortPending_, "acknowledging without pending abort");
-    const AbortReason r = pendingReason_;
+    HINTM_ASSERT(st_.abortPending, "acknowledging without pending abort");
+    const AbortReason r = st_.pendingReason;
     ++stats_->aborts[unsigned(r)];
     stats_->cyclesLost[unsigned(r)] +=
-        (now - txStart_) + cfg_.abortHandlerCycles;
+        (now - st_.txStart) + cfg_.abortHandlerCycles;
     clearTxState();
     return r;
 }
@@ -197,8 +197,8 @@ HtmController::acknowledgeAbort(Cycle now)
 void
 HtmController::convertToCriticalSection()
 {
-    HINTM_ASSERT(capacityPending_, "no pending capacity overflow");
-    HINTM_ASSERT(inTx_ && !abortPending_, "conversion in bad state");
+    HINTM_ASSERT(st_.capacityPending, "no pending capacity overflow");
+    HINTM_ASSERT(st_.inTx && !st_.abortPending, "conversion in bad state");
     ++stats_->preAbortConversions;
     // The TX's effects so far stand (the lock serializes everyone
     // else); hardware monitoring simply stops.
@@ -208,17 +208,17 @@ HtmController::convertToCriticalSection()
 void
 HtmController::declineConversion()
 {
-    HINTM_ASSERT(capacityPending_, "no pending capacity overflow");
-    capacityPending_ = false;
-    triggerAbort(AbortReason::Capacity, capacityPendingBlock_, true, -1);
+    HINTM_ASSERT(st_.capacityPending, "no pending capacity overflow");
+    st_.capacityPending = false;
+    triggerAbort(AbortReason::Capacity, st_.capacityPendingBlock, true, -1);
 }
 
 void
 HtmController::onPageBecameUnsafe(Addr page_num)
 {
-    if (!inTx_ || abortPending_)
+    if (!st_.inTx || st_.abortPending)
         return;
-    if (safePages_.contains(page_num)) {
+    if (st_.safePages.contains(page_num)) {
         // Untracked (safe) reads to this page can no longer be trusted:
         // conservatively abort (§III-B).
         triggerAbort(AbortReason::PageMode, page_num * pageBytes, true,
@@ -230,12 +230,12 @@ void
 HtmController::onRemoteAccess(Addr block_addr, AccessType type,
                               mem::ContextId requester)
 {
-    if (!inTx_ || abortPending_)
+    if (!st_.inTx || st_.abortPending)
         return;
 
-    const TxBufferEntry *e = buffer_.find(block_addr);
+    const TxBufferEntry *e = st_.buffer.find(block_addr);
     const bool in_read =
-        (e && e->read) || overflowReads_.contains(block_addr);
+        (e && e->read) || st_.overflowReads.contains(block_addr);
     const bool in_write = e && e->written;
 
     if (type == AccessType::Write) {
@@ -243,7 +243,7 @@ HtmController::onRemoteAccess(Addr block_addr, AccessType type,
             triggerAbort(AbortReason::Conflict, block_addr, true,
                          std::int32_t(requester));
         } else if (cfg_.kind == HtmKind::P8S &&
-                   signature_.test(block_addr)) {
+                   st_.signature.test(block_addr)) {
             // Aliased hit in the summarizing bitvector only.
             triggerAbort(AbortReason::FalseConflict, block_addr, true,
                          std::int32_t(requester));
@@ -259,26 +259,26 @@ void
 HtmController::onEviction(Addr block_addr, bool dirty)
 {
     (void)dirty;
-    if (!inTx_ || abortPending_ || cfg_.kind != HtmKind::L1TM)
+    if (!st_.inTx || st_.abortPending || cfg_.kind != HtmKind::L1TM)
         return;
     // L1TM keeps transactional state in L1 lines: displacing a tracked
     // line (capacity or set conflict, including SMT-sibling pressure)
     // loses it, so the TX must abort.
-    if (buffer_.find(block_addr))
+    if (st_.buffer.find(block_addr))
         triggerAbort(AbortReason::Capacity, block_addr, true, -1);
 }
 
 std::size_t
 HtmController::trackedBlocks() const
 {
-    return buffer_.size() + overflowReads_.size();
+    return st_.buffer.size() + st_.overflowReads.size();
 }
 
 std::size_t
 HtmController::readSetBlocks() const
 {
-    std::size_t n = overflowReads_.size();
-    for (const auto &kv : buffer_.entries()) {
+    std::size_t n = st_.overflowReads.size();
+    for (const auto &kv : st_.buffer.entries()) {
         if (kv.second.read)
             ++n;
     }
@@ -289,7 +289,7 @@ std::size_t
 HtmController::writeSetBlocks() const
 {
     std::size_t n = 0;
-    for (const auto &kv : buffer_.entries()) {
+    for (const auto &kv : st_.buffer.entries()) {
         if (kv.second.written)
             ++n;
     }
@@ -299,21 +299,21 @@ HtmController::writeSetBlocks() const
 bool
 HtmController::readsBlock(Addr block_addr) const
 {
-    const TxBufferEntry *e = buffer_.find(block_addr);
-    return (e && e->read) || overflowReads_.contains(block_addr);
+    const TxBufferEntry *e = st_.buffer.find(block_addr);
+    return (e && e->read) || st_.overflowReads.contains(block_addr);
 }
 
 bool
 HtmController::writesBlock(Addr block_addr) const
 {
-    const TxBufferEntry *e = buffer_.find(block_addr);
+    const TxBufferEntry *e = st_.buffer.find(block_addr);
     return e && e->written;
 }
 
 bool
 HtmController::conflictsWith(Addr block_addr, AccessType type) const
 {
-    if (!inTx_ || abortPending_)
+    if (!st_.inTx || st_.abortPending)
         return false;
     if (type == AccessType::Write)
         return readsBlock(block_addr) || writesBlock(block_addr);
@@ -324,13 +324,13 @@ void
 HtmController::triggerAbort(AbortReason r, Addr offending_addr,
                             bool addr_valid, std::int32_t offender)
 {
-    if (!inTx_ || abortPending_)
+    if (!st_.inTx || st_.abortPending)
         return;
-    abortPending_ = true;
-    pendingReason_ = r;
-    lastAbortAddr_ = offending_addr;
-    lastAbortAddrValid_ = addr_valid;
-    lastAbortCtx_ = offender;
+    st_.abortPending = true;
+    st_.pendingReason = r;
+    st_.lastAbortAddr = offending_addr;
+    st_.lastAbortAddrValid = addr_valid;
+    st_.lastAbortCtx = offender;
     publishInterest(); // a dead TX no longer listens
     // Restore memory values immediately so that the access which killed
     // this TX observes pre-transactional data.
@@ -344,59 +344,27 @@ void
 HtmController::clearTxState()
 {
     if (dir_) {
-        for (const auto &kv : buffer_.entries())
+        for (const auto &kv : st_.buffer.entries())
             dir_->txUntrack(kv.first, unsigned(self_));
-        overflowReads_.forEach(
+        st_.overflowReads.forEach(
             [&](Addr b) { dir_->txUntrack(b, unsigned(self_)); });
         dir_->setSigActive(unsigned(self_), false);
     }
-    inTx_ = false;
-    abortPending_ = false;
-    capacityPending_ = false;
-    pendingReason_ = AbortReason::None;
-    buffer_.clear();
-    overflowReads_.clear();
-    signature_.clear();
-    safePages_.clear();
+    st_.inTx = false;
+    st_.abortPending = false;
+    st_.capacityPending = false;
+    st_.pendingReason = AbortReason::None;
+    st_.buffer.clear();
+    st_.overflowReads.clear();
+    st_.signature.clear();
+    st_.safePages.clear();
     publishInterest();
-}
-
-HtmController::State
-HtmController::saveState() const
-{
-    State s;
-    s.inTx = inTx_;
-    s.abortPending = abortPending_;
-    s.capacityPending = capacityPending_;
-    s.pendingReason = pendingReason_;
-    s.txStart = txStart_;
-    s.lastAbortAddr = lastAbortAddr_;
-    s.lastAbortAddrValid = lastAbortAddrValid_;
-    s.lastAbortCtx = lastAbortCtx_;
-    s.capacityPendingBlock = capacityPendingBlock_;
-    s.buffer = buffer_;
-    s.overflowReads = overflowReads_;
-    s.signature = signature_;
-    s.safePages = safePages_;
-    return s;
 }
 
 void
 HtmController::loadState(const State &s)
 {
-    inTx_ = s.inTx;
-    abortPending_ = s.abortPending;
-    capacityPending_ = s.capacityPending;
-    pendingReason_ = s.pendingReason;
-    txStart_ = s.txStart;
-    lastAbortAddr_ = s.lastAbortAddr;
-    lastAbortAddrValid_ = s.lastAbortAddrValid;
-    lastAbortCtx_ = s.lastAbortCtx;
-    capacityPendingBlock_ = s.capacityPendingBlock;
-    buffer_ = s.buffer;
-    overflowReads_ = s.overflowReads;
-    signature_ = s.signature;
-    safePages_ = s.safePages;
+    st_ = s;
     publishInterest();
 }
 

@@ -197,7 +197,7 @@ class HtmController : public mem::SnoopListener
 
     /** Pre-abort handler: a capacity overflow awaits a runtime decision
      * (only raised when config().preAbortHandler). */
-    bool capacityPending() const { return capacityPending_; }
+    bool capacityPending() const { return st_.capacityPending; }
 
     /**
      * Pre-abort conversion: the runtime acquired the fallback lock, so
@@ -215,19 +215,19 @@ class HtmController : public mem::SnoopListener
                         mem::ContextId requester) override;
     void onEviction(Addr block_addr, bool dirty) override;
 
-    bool inTx() const { return inTx_; }
-    bool abortPending() const { return abortPending_; }
-    AbortReason pendingReason() const { return pendingReason_; }
-    Cycle txStartCycle() const { return txStart_; }
+    bool inTx() const { return st_.inTx; }
+    bool abortPending() const { return st_.abortPending; }
+    AbortReason pendingReason() const { return st_.pendingReason; }
+    Cycle txStartCycle() const { return st_.txStart; }
 
     // Abort attribution (journal observability). Captured at the point
     // the abort is signalled; valid from then until the next abort.
     /** Offending block-aligned address (page base for page-mode);
      * meaningful only when lastAbortAddrValid(). */
-    Addr lastAbortAddr() const { return lastAbortAddr_; }
-    bool lastAbortAddrValid() const { return lastAbortAddrValid_; }
+    Addr lastAbortAddr() const { return st_.lastAbortAddr; }
+    bool lastAbortAddrValid() const { return st_.lastAbortAddrValid; }
     /** Context whose access killed the TX (-1 = none/unknown). */
-    std::int32_t lastAbortCtx() const { return lastAbortCtx_; }
+    std::int32_t lastAbortCtx() const { return st_.lastAbortCtx; }
 
     /** Distinct tracked (unsafe) blocks in the current TX. */
     std::size_t trackedBlocks() const;
@@ -250,9 +250,9 @@ class HtmController : public mem::SnoopListener
     void
     forEachTrackedBlock(Fn &&fn) const
     {
-        for (const auto &kv : buffer_.entries())
+        for (const auto &kv : st_.buffer.entries())
             fn(kv.first);
-        overflowReads_.forEach(fn);
+        st_.overflowReads.forEach(fn);
     }
 
     /** Would a remote access of @p type to @p block_addr conflict with
@@ -263,9 +263,11 @@ class HtmController : public mem::SnoopListener
     const HtmConfig &config() const { return cfg_; }
 
     /**
-     * Complete per-controller transactional state. System-wide HtmStats
-     * live in RunResult and are captured by the machine snapshot, not
-     * here; hooks and the oracle attachment are identity, not state.
+     * Complete per-controller transactional state, and the controller's
+     * only storage for it: a field declared here is snapshotted. The
+     * system-wide HtmStats live in RunResult and are captured by the
+     * machine snapshot; hooks, the directory and the oracle attachment
+     * are identity, not state.
      */
     struct State
     {
@@ -277,14 +279,22 @@ class HtmController : public mem::SnoopListener
         Addr lastAbortAddr = 0;
         bool lastAbortAddrValid = false;
         std::int32_t lastAbortCtx = -1;
+        /** Block that raised a pending pre-abort capacity overflow. */
         Addr capacityPendingBlock = 0;
+        /** Precise tracking structure. For P8/P8S this is the dedicated
+         * buffer (bounded); for L1TM/InfCap an unbounded shadow of the
+         * tracked state. */
         TxBuffer buffer{0};
+        /** P8S: readset blocks spilled past the buffer, summarized in
+         * the signature; kept precisely here to tell false from true
+         * conflicts. */
         AddrSet overflowReads;
         Signature signature;
+        /** Pages read under a dynamic safety hint during this TX. */
         AddrSet safePages;
     };
 
-    State saveState() const;
+    const State &saveState() const { return st_; }
 
     /** Restore state and re-publish listener interest (the memory
      * system's interest mask is rebuilt from the controllers). */
@@ -309,27 +319,7 @@ class HtmController : public mem::SnoopListener
     HintOracle *oracle_ = nullptr;
     mem::Directory *dir_ = nullptr;
 
-    bool inTx_ = false;
-    bool abortPending_ = false;
-    bool capacityPending_ = false;
-    AbortReason pendingReason_ = AbortReason::None;
-    Cycle txStart_ = 0;
-    Addr lastAbortAddr_ = 0;
-    bool lastAbortAddrValid_ = false;
-    std::int32_t lastAbortCtx_ = -1;
-    /** Block that raised a pending pre-abort capacity overflow. */
-    Addr capacityPendingBlock_ = 0;
-
-    /** Precise tracking structure. For P8/P8S this is the dedicated
-     * buffer (bounded); for L1TM/InfCap an unbounded shadow of the
-     * tracked state. */
-    TxBuffer buffer_;
-    /** P8S: readset blocks spilled past the buffer, summarized in the
-     * signature; kept precisely here to tell false from true conflicts. */
-    AddrSet overflowReads_;
-    Signature signature_;
-    /** Pages read under a dynamic safety hint during this TX. */
-    AddrSet safePages_;
+    State st_;
 };
 
 } // namespace htm

@@ -18,18 +18,34 @@ constexpr unsigned maskBits = 64;
 
 } // namespace
 
+void
+MemStats::dump(std::ostream &os) const
+{
+    os << "mem.invalidations " << invalidations << "\n"
+       << "mem.l1_evictions " << l1Evictions << "\n"
+       << "mem.l1_hits " << l1Hits << "\n"
+       << "mem.l1_misses " << l1Misses << "\n"
+       << "mem.l2_hits " << l2Hits << "\n"
+       << "mem.l2_misses " << l2Misses << "\n"
+       << "mem.numa_remote " << numaRemote << "\n"
+       << "mem.reads " << reads << "\n"
+       << "mem.upgrades " << upgrades << "\n"
+       << "mem.writebacks " << writebacks << "\n"
+       << "mem.writes " << writes << "\n";
+}
+
 MemorySystem::MemorySystem(const MemConfig &cfg, unsigned num_l1s)
     : cfg_(cfg)
 {
     HINTM_ASSERT(num_l1s >= 1, "need at least one L1");
-    const CacheGeometry l1_geom(cfg.l1SizeBytes, cfg.l1Assoc);
-    for (unsigned i = 0; i < num_l1s; ++i)
-        l1s_.push_back(std::make_unique<CacheArray>(l1_geom));
+    st_.arrays.assign(num_l1s,
+                      CacheArray(CacheGeometry(cfg.l1SizeBytes, cfg.l1Assoc)));
+    st_.arrays.emplace_back(CacheGeometry(cfg.l2SizeBytes, cfg.l2Assoc));
     pinCheckers_.resize(num_l1s);
-    l2_ = std::make_unique<CacheArray>(
-        CacheGeometry(cfg.l2SizeBytes, cfg.l2Assoc));
 
-    dirOn_ = cfg.directory && num_l1s <= maskBits;
+    HINTM_ASSERT(num_l1s <= maskBits, "more than ", maskBits,
+                 " L1s: the directory and listener masks are 64-bit");
+    dirOn_ = cfg.directory;
     l1CtxMask_.assign(num_l1s, 0);
 
     // Contiguous NUMA grouping: L1s [0, n/k), [n/k, 2n/k), ... share a
@@ -40,30 +56,17 @@ MemorySystem::MemorySystem(const MemConfig &cfg, unsigned num_l1s)
     l1Node_.resize(num_l1s);
     for (unsigned i = 0; i < num_l1s; ++i)
         l1Node_[i] = unsigned(std::uint64_t(i) * numaNodes_ / num_l1s);
-
-    cReads_ = &stats_.counter("reads");
-    cWrites_ = &stats_.counter("writes");
-    cL1Hits_ = &stats_.counter("l1_hits");
-    cL1Misses_ = &stats_.counter("l1_misses");
-    cL1Evictions_ = &stats_.counter("l1_evictions");
-    cUpgrades_ = &stats_.counter("upgrades");
-    cInvalidations_ = &stats_.counter("invalidations");
-    cWritebacks_ = &stats_.counter("writebacks");
-    cL2Hits_ = &stats_.counter("l2_hits");
-    cL2Misses_ = &stats_.counter("l2_misses");
-    cNumaRemote_ = &stats_.counter("numa_remote");
 }
 
 ContextId
 MemorySystem::addContext(unsigned l1_id)
 {
-    HINTM_ASSERT(l1_id < l1s_.size(), "bad L1 id ", l1_id);
+    HINTM_ASSERT(l1_id < numL1s(), "bad L1 id ", l1_id);
     contexts_.push_back(Context{l1_id, nullptr});
     const ContextId id = ContextId(contexts_.size() - 1);
-    if (unsigned(id) >= maskBits)
-        dirOn_ = false; // too many contexts for the masks
-    else
-        l1CtxMask_[l1_id] |= std::uint64_t(1) << unsigned(id);
+    HINTM_ASSERT(unsigned(id) < maskBits, "more than ", maskBits,
+                 " contexts: the listener masks are 64-bit");
+    l1CtxMask_[l1_id] |= std::uint64_t(1) << unsigned(id);
     return id;
 }
 
@@ -82,8 +85,6 @@ MemorySystem::setListenerInterest(ContextId ctx, bool interested)
 {
     HINTM_ASSERT(ctx >= 0 && ctx < ContextId(contexts_.size()),
                  "bad context ", ctx);
-    if (unsigned(ctx) >= maskBits)
-        return; // broadcast mode; interest mask unused
     const std::uint64_t bit = std::uint64_t(1) << unsigned(ctx);
     if (interested)
         interestMask_ |= bit;
@@ -96,8 +97,6 @@ MemorySystem::setListenerTxFiltered(ContextId ctx, bool filtered)
 {
     HINTM_ASSERT(ctx >= 0 && ctx < ContextId(contexts_.size()),
                  "bad context ", ctx);
-    if (unsigned(ctx) >= maskBits)
-        return; // broadcast mode; delivery masks unused
     const std::uint64_t bit = std::uint64_t(1) << unsigned(ctx);
     if (filtered)
         fullDeliveryMask_ &= ~bit;
@@ -128,8 +127,8 @@ MemorySystem::sampleBusMetrics(unsigned requester_l1, Addr block)
     if (metrics_->busEvents++ % MetricsRegistry::sharerSampleEvery != 0)
         return;
     unsigned sharers = 0;
-    for (unsigned i = 0; i < l1s_.size(); ++i)
-        if (i != requester_l1 && l1s_[i]->probe(block))
+    for (unsigned i = 0; i < numL1s(); ++i)
+        if (i != requester_l1 && st_.arrays[i].probe(block))
             ++sharers;
     metrics_->sharersAtBus.add(sharers);
 }
@@ -137,61 +136,61 @@ MemorySystem::sampleBusMetrics(unsigned requester_l1, Addr block)
 void
 MemorySystem::setPinChecker(unsigned l1_id, CacheArray::PinPredicate pred)
 {
-    HINTM_ASSERT(l1_id < l1s_.size(), "bad L1 id ", l1_id);
+    HINTM_ASSERT(l1_id < numL1s(), "bad L1 id ", l1_id);
     pinCheckers_[l1_id] = std::move(pred);
 }
 
 const CacheLine *
 MemorySystem::probeL1(ContextId ctx, Addr addr) const
 {
-    return l1s_[contexts_.at(ctx).l1]->probe(blockAlign(addr));
+    return st_.arrays[contexts_.at(ctx).l1].probe(blockAlign(addr));
 }
 
 std::uint64_t
 MemorySystem::sharerMaskOf(Addr addr) const
 {
-    return dirOn_ ? dir_.sharers(blockAlign(addr)) : 0;
+    return dirOn_ ? st_.dir.sharers(blockAlign(addr)) : 0;
 }
 
 std::int16_t
 MemorySystem::ownerOf(Addr addr) const
 {
-    return dirOn_ ? dir_.owner(blockAlign(addr)) : Directory::noOwner;
+    return dirOn_ ? st_.dir.owner(blockAlign(addr)) : Directory::noOwner;
 }
 
 DirState
 MemorySystem::dirStateOf(Addr addr) const
 {
-    return dirOn_ ? dir_.state(blockAlign(addr)) : DirState::Uncached;
+    return dirOn_ ? st_.dir.state(blockAlign(addr)) : DirState::Uncached;
 }
 
 bool
 MemorySystem::snoopOne(unsigned l1, Addr block, BusOp op)
 {
-    CacheLine *line = l1s_[l1]->lookup(block);
+    CacheLine *line = st_.arrays[l1].lookup(block);
     if (!line)
         return false;
     switch (op) {
       case BusOp::Read:
         // Owner supplies data and downgrades; dirty data reaches L2.
         if (line->state == CoherState::Modified) {
-            ++*cWritebacks_;
-            l2_->insert(block, CoherState::Modified);
+            ++st_.stats.writebacks;
+            l2().insert(block, CoherState::Modified);
         }
         line->state = CoherState::Shared;
         if (dirOn_)
-            dir_.recordDowngrade(block, l1);
+            st_.dir.recordDowngrade(block, l1);
         break;
       case BusOp::ReadExcl:
       case BusOp::Upgrade:
         if (line->state == CoherState::Modified) {
-            ++*cWritebacks_;
-            l2_->insert(block, CoherState::Modified);
+            ++st_.stats.writebacks;
+            l2().insert(block, CoherState::Modified);
         }
         line->state = CoherState::Invalid;
-        ++*cInvalidations_;
+        ++st_.stats.invalidations;
         if (dirOn_)
-            dir_.removeSharer(block, l1);
+            st_.dir.removeSharer(block, l1);
         break;
     }
     return true;
@@ -202,7 +201,7 @@ MemorySystem::snoopPeers(unsigned requester_l1, Addr block, BusOp op)
 {
     bool peer_had_copy = false;
     if (dirOn_) {
-        std::uint64_t m = dir_.sharers(block) &
+        std::uint64_t m = st_.dir.sharers(block) &
                           ~(std::uint64_t(1) << requester_l1);
         while (m) {
             const unsigned i = unsigned(std::countr_zero(m));
@@ -210,11 +209,11 @@ MemorySystem::snoopPeers(unsigned requester_l1, Addr block, BusOp op)
             if (snoopOne(i, block, op))
                 peer_had_copy = true;
             else
-                dir_.removeSharer(block, i); // heal a stale bit
+                st_.dir.removeSharer(block, i); // heal a stale bit
         }
         return peer_had_copy;
     }
-    for (unsigned i = 0; i < l1s_.size(); ++i) {
+    for (unsigned i = 0; i < numL1s(); ++i) {
         if (i == requester_l1)
             continue;
         if (snoopOne(i, block, op))
@@ -236,9 +235,9 @@ MemorySystem::notifyBus(ContextId requester, Addr block, AccessType type)
         // signature that may alias any block. Tracker-filtered HTM
         // listeners treat every other event as a no-op, so skipping
         // them is behavior-preserving.
-        std::uint64_t relevant = fullDeliveryMask_ | dir_.txTrackers(block);
+        std::uint64_t relevant = fullDeliveryMask_ | st_.dir.txTrackers(block);
         if (type == AccessType::Write)
-            relevant |= dir_.sigActiveMask();
+            relevant |= st_.dir.sigActiveMask();
         std::uint64_t m = interestMask_ & ~l1CtxMask_[l1] & relevant;
         while (m) {
             const ContextId c = ContextId(std::countr_zero(m));
@@ -307,13 +306,13 @@ Cycle
 MemorySystem::accessL2(Addr block, bool fill_dirty)
 {
     Cycle lat = cfg_.l2Latency;
-    CacheLine *line = l2_->lookup(block);
+    CacheLine *line = l2().lookup(block);
     if (line) {
-        ++*cL2Hits_;
+        ++st_.stats.l2Hits;
     } else {
-        ++*cL2Misses_;
+        ++st_.stats.l2Misses;
         lat += cfg_.memLatency;
-        l2_->insert(block,
+        l2().insert(block,
                     fill_dirty ? CoherState::Modified : CoherState::Shared);
     }
     return lat;
@@ -328,10 +327,10 @@ MemorySystem::access(ContextId ctx, Addr addr, AccessType type)
         observer_->onAccess(ctx, addr, type);
     const Addr block = blockAlign(addr);
     const unsigned l1_id = contexts_[ctx].l1;
-    CacheArray &l1 = *l1s_[l1_id];
+    CacheArray &l1 = st_.arrays[l1_id];
 
     AccessResult res;
-    ++*(type == AccessType::Read ? cReads_ : cWrites_);
+    ++(type == AccessType::Read ? st_.stats.reads : st_.stats.writes);
 
     // SMT siblings sharing this L1 observe every access, hit or miss,
     // mirroring per-thread transactional CAMs snooping local traffic.
@@ -340,7 +339,7 @@ MemorySystem::access(ContextId ctx, Addr addr, AccessType type)
     CacheLine *line = l1.lookup(block);
     if (line) {
         res.l1Hit = true;
-        ++*cL1Hits_;
+        ++st_.stats.l1Hits;
         if (type == AccessType::Read ||
             line->state == CoherState::Modified ||
             line->state == CoherState::Exclusive) {
@@ -352,21 +351,21 @@ MemorySystem::access(ContextId ctx, Addr addr, AccessType type)
             return res;
         }
         // Write hit on Shared: bus upgrade.
-        ++*cUpgrades_;
+        ++st_.stats.upgrades;
         if (metrics_)
             sampleBusMetrics(l1_id, block);
         snoopPeers(l1_id, block, BusOp::Upgrade);
         notifyBus(ctx, block, type);
         line->state = CoherState::Modified;
         if (dirOn_)
-            dir_.recordUpgrade(block, l1_id);
+            st_.dir.recordUpgrade(block, l1_id);
         res.latency =
             cfg_.l1Latency + cfg_.upgradeLatency + numaPenalty(l1_id, block);
         return res;
     }
 
     // L1 miss: place a bus transaction.
-    ++*cL1Misses_;
+    ++st_.stats.l1Misses;
     if (metrics_)
         sampleBusMetrics(l1_id, block);
     const BusOp op =
@@ -388,45 +387,26 @@ MemorySystem::access(ContextId ctx, Addr addr, AccessType type)
         l1.insert(block, fill,
                   pinCheckers_[l1_id] ? &pinCheckers_[l1_id] : nullptr);
     if (dirOn_)
-        dir_.recordFill(block, l1_id, fill != CoherState::Shared);
+        st_.dir.recordFill(block, l1_id, fill != CoherState::Shared);
     if (ev.happened) {
-        ++*cL1Evictions_;
+        ++st_.stats.l1Evictions;
         if (dirOn_)
-            dir_.removeSharer(ev.blockAddr, l1_id);
+            st_.dir.removeSharer(ev.blockAddr, l1_id);
         if (ev.dirty) {
-            ++*cWritebacks_;
-            l2_->insert(ev.blockAddr, CoherState::Modified);
+            ++st_.stats.writebacks;
+            l2().insert(ev.blockAddr, CoherState::Modified);
         }
         notifyEviction(l1_id, ev.blockAddr, ev.dirty);
     }
     return res;
 }
 
-MemorySystem::State
-MemorySystem::saveState() const
-{
-    State s;
-    s.arrays.reserve(l1s_.size() + 1);
-    for (const auto &l1 : l1s_)
-        s.arrays.push_back(*l1);
-    s.arrays.push_back(*l2_);
-    s.dirOn = dirOn_;
-    s.dir = dir_;
-    s.stats = stats_.values();
-    return s;
-}
-
 void
 MemorySystem::loadState(const State &s)
 {
-    HINTM_ASSERT(s.arrays.size() == l1s_.size() + 1,
+    HINTM_ASSERT(s.arrays.size() == st_.arrays.size(),
                  "memory state cache-count mismatch");
-    for (std::size_t i = 0; i < l1s_.size(); ++i)
-        *l1s_[i] = s.arrays[i];
-    *l2_ = s.arrays.back();
-    dirOn_ = s.dirOn;
-    dir_ = s.dir;
-    stats_.setValues(s.stats);
+    st_ = s;
 }
 
 } // namespace mem

@@ -27,11 +27,10 @@
 #ifndef HINTM_MEM_MEM_SYSTEM_HH
 #define HINTM_MEM_MEM_SYSTEM_HH
 
-#include <memory>
+#include <ostream>
 #include <utility>
 #include <vector>
 
-#include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/cache_array.hh"
 #include "mem/directory.hh"
@@ -73,6 +72,26 @@ struct MemConfig
     Cycle numaRemoteLatency = 24;
 };
 
+/** Memory-hierarchy event counters. */
+struct MemStats
+{
+    std::uint64_t invalidations = 0;
+    std::uint64_t l1Evictions = 0;
+    std::uint64_t l1Hits = 0;
+    std::uint64_t l1Misses = 0;
+    std::uint64_t l2Hits = 0;
+    std::uint64_t l2Misses = 0;
+    std::uint64_t numaRemote = 0;
+    std::uint64_t reads = 0;
+    std::uint64_t upgrades = 0;
+    std::uint64_t writebacks = 0;
+    std::uint64_t writes = 0;
+
+    /** One "mem.<name> <value>" line per counter, in name order (the
+     * RunResult::rawStats format). */
+    void dump(std::ostream &os) const;
+};
+
 /** Outcome of one memory access, consumed by the core timing model. */
 struct AccessResult
 {
@@ -102,6 +121,8 @@ class AccessObserver
 class MemorySystem
 {
   public:
+    /** At most 64 L1s and 64 contexts: the directory and listener
+     * masks are 64-bit. */
     MemorySystem(const MemConfig &cfg, unsigned num_l1s);
 
     /**
@@ -162,7 +183,10 @@ class MemorySystem
 
     /** Geometry shared by every L1 (the machine's hint-saved verdict
      * needs set/assoc arithmetic). */
-    const CacheGeometry &l1Geometry() const { return l1s_[0]->geometry(); }
+    const CacheGeometry &l1Geometry() const
+    {
+        return st_.arrays[0].geometry();
+    }
 
     /** Scan the valid lines of the L1 set @p addr maps to in @p ctx's
      * L1 (the metrics layer's overflowing-set occupancy breakdown). */
@@ -170,7 +194,7 @@ class MemorySystem
     void
     forEachValidInL1Set(ContextId ctx, Addr addr, Fn &&fn) const
     {
-        l1s_[contexts_[ctx].l1]->forEachValidInSet(
+        st_.arrays[contexts_[ctx].l1].forEachValidInSet(
             blockAlign(addr), std::forward<Fn>(fn));
     }
 
@@ -196,7 +220,7 @@ class MemorySystem
     /** The owning directory, or null in broadcast mode. Controllers use
      * it to register transactional trackers; the machine uses it for
      * O(trackers) conflict pre-flight. */
-    Directory *directory() { return dirOn_ ? &dir_ : nullptr; }
+    Directory *directory() { return dirOn_ ? &st_.dir : nullptr; }
 
     /** Directory sharer mask of a block (testing aid; 0 when the
      * directory is inactive). */
@@ -224,24 +248,25 @@ class MemorySystem
     /** Current interested-listener mask, bit = context id (testing aid). */
     std::uint64_t listenerInterestMask() const { return interestMask_; }
 
-    stats::StatGroup &statGroup() { return stats_; }
+    const MemStats &stats() const { return st_.stats; }
     const MemConfig &config() const { return cfg_; }
 
     /**
      * Cache arrays (L1s in id order, then the L2), directory contents
-     * (sharer/owner/tracker masks + the sig-active mask) and stat
-     * values. The listener-interest mask is not captured: HTM
-     * controllers re-publish their interest when they are restored.
+     * (sharer/owner/tracker masks + the sig-active mask) and the
+     * counters: the memory system's only storage for them, so a field
+     * declared here is snapshotted. The listener-interest mask is not
+     * captured: HTM controllers re-publish their interest when they
+     * are restored.
      */
     struct State
     {
         std::vector<CacheArray> arrays;
-        bool dirOn = true;
         Directory dir;
-        stats::StatGroup::Values stats;
+        MemStats stats;
     };
 
-    State saveState() const;
+    const State &saveState() const { return st_; }
     void loadState(const State &s);
 
   private:
@@ -285,22 +310,21 @@ class MemorySystem
             return 0;
         if (l1Node_[l1_id] == homeNodeOf(block))
             return 0;
-        ++*cNumaRemote_;
+        ++st_.stats.numaRemote;
         return cfg_.numaRemoteLatency;
     }
 
-    MemConfig cfg_;
-    std::vector<std::unique_ptr<CacheArray>> l1s_;
-    std::vector<CacheArray::PinPredicate> pinCheckers_;
-    std::unique_ptr<CacheArray> l2_;
-    std::vector<Context> contexts_;
-    stats::StatGroup stats_{"mem"};
+    unsigned numL1s() const { return unsigned(st_.arrays.size() - 1); }
+    CacheArray &l2() { return st_.arrays.back(); }
 
-    /** Fast-path state. dirOn_ drops to false (broadcast mode) when
-     * the configuration disables it or the machine outgrows the 64-bit
-     * masks. */
+    MemConfig cfg_;
+    State st_;
+    std::vector<CacheArray::PinPredicate> pinCheckers_;
+    std::vector<Context> contexts_;
+
+    /** Fast-path state. dirOn_ is MemConfig::directory: false selects
+     * the reference broadcast mode. */
     bool dirOn_ = true;
-    Directory dir_;
     AccessObserver *observer_ = nullptr;
     MetricsRegistry *metrics_ = nullptr;
     std::uint64_t interestMask_ = 0;
@@ -311,19 +335,6 @@ class MemorySystem
     /** NUMA node of each L1 (contiguous grouping). */
     std::vector<unsigned> l1Node_;
     unsigned numaNodes_ = 1;
-
-    // Hot counters, resolved once instead of by-name per access.
-    stats::Counter *cReads_;
-    stats::Counter *cWrites_;
-    stats::Counter *cL1Hits_;
-    stats::Counter *cL1Misses_;
-    stats::Counter *cL1Evictions_;
-    stats::Counter *cUpgrades_;
-    stats::Counter *cInvalidations_;
-    stats::Counter *cWritebacks_;
-    stats::Counter *cL2Hits_;
-    stats::Counter *cL2Misses_;
-    stats::Counter *cNumaRemote_;
 };
 
 } // namespace mem

@@ -1,5 +1,6 @@
 #include "explorer.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <limits>
 #include <memory>
@@ -30,6 +31,16 @@ struct Branch
     unsigned preemptCtx = 0;
     /** Decision index of the plan's last entry. */
     std::uint32_t branchIndex = 0;
+};
+
+/** A subtree's running totals after some number of its schedules: the
+ * counters (issues left empty), how many issues it had found, and how
+ * many branches were still pending. */
+struct Mark
+{
+    ExploreReport totals;
+    std::size_t issues = 0;
+    std::size_t pending = 0;
 };
 
 /** Per-host-thread exploration state: the controller baked into the
@@ -66,7 +77,6 @@ exploreSchedules(const MachineConfig &cfg0, const tir::Module &module,
     TraceCheckOptions chk;
     chk.livelockThreshold = opt.livelockThreshold;
 
-    std::atomic<std::uint64_t> scheduled{0};
     const std::uint64_t max_schedules =
         opt.maxSchedules ? opt.maxSchedules
                          : std::numeric_limits<std::uint64_t>::max();
@@ -138,7 +148,6 @@ exploreSchedules(const MachineConfig &cfg0, const tir::Module &module,
     Worker base_worker(base);
     std::vector<Branch> top;
     std::vector<ExploreIssue> base_issues;
-    ++scheduled;
     const RunResult base_result = run_one(
         base_worker, Branch{}, top, rep, base_issues, chk);
     rep.issues = std::move(base_issues);
@@ -147,38 +156,58 @@ exploreSchedules(const MachineConfig &cfg0, const tir::Module &module,
 
     // Fan the top-level subtrees out over host threads (each subtree
     // explores its grandchildren depth-first on its own worker), then
-    // merge in branch order so reports stay deterministic.
-    std::vector<ExploreReport> sub_reports(top.size());
+    // merge in branch order. The schedule budget is charged at the
+    // merge, in that order: subtree i gets what subtrees 0..i-1 left,
+    // exactly as a one-job exploration would give it, so the report is
+    // the same for any job count. A worker logs its running totals
+    // after every schedule and the merge keeps the budgeted prefix.
+    // While it runs, subtree i can only be granted what the earlier
+    // subtrees have not yet used, so it stops speculating there.
+    const std::uint64_t budget = max_schedules - 1; // base run charged
+    std::vector<std::vector<Mark>> logs(top.size());
     std::vector<std::vector<ExploreIssue>> sub_issues(top.size());
+    std::vector<std::atomic<std::uint64_t>> used(top.size());
     parallelFor(opt.jobs, top.size(), [&](std::size_t i) {
+        const auto allowance = [&] {
+            std::uint64_t before = 0;
+            for (std::size_t j = 0; j < i; ++j)
+                before += used[j].load();
+            return before < budget ? budget - before : 0;
+        };
         Worker w(base);
-        ExploreReport &local = sub_reports[i];
+        ExploreReport local;
         std::vector<ExploreIssue> &issues = sub_issues[i];
         std::vector<Branch> stack;
         stack.push_back(std::move(top[i]));
-        while (!stack.empty()) {
-            if (scheduled.fetch_add(1) >= max_schedules) {
-                local.branchesCapped += stack.size();
-                break;
-            }
+        logs[i].push_back({local, 0, stack.size()});
+        while (!stack.empty() && local.schedulesRun < allowance()) {
             const Branch b = std::move(stack.back());
             stack.pop_back();
             std::vector<Branch> children;
             run_one(w, b, children, local, issues, chk);
             for (Branch &c : children)
                 stack.push_back(std::move(c));
+            logs[i].push_back({local, issues.size(), stack.size()});
+            ++used[i];
         }
     });
+    std::uint64_t left = budget;
     for (std::size_t i = 0; i < top.size(); ++i) {
-        const ExploreReport &l = sub_reports[i];
-        rep.schedulesRun += l.schedulesRun;
-        rep.branchPoints += l.branchPoints;
-        rep.branchesPruned += l.branchesPruned;
-        rep.branchesCapped += l.branchesCapped;
-        rep.snapshotForks += l.snapshotForks;
-        rep.scratchReplays += l.scratchReplays;
-        for (ExploreIssue &is : sub_issues[i])
-            rep.issues.push_back(std::move(is));
+        const std::size_t k =
+            std::size_t(std::min<std::uint64_t>(left, logs[i].size() - 1));
+        const Mark &m = logs[i][k];
+        // Pending branches at the cut are the ones the cap dropped.
+        HINTM_ASSERT(m.pending == 0 || k == left,
+                     "subtree stopped short of its schedule budget");
+        left -= k;
+        rep.schedulesRun += m.totals.schedulesRun;
+        rep.branchPoints += m.totals.branchPoints;
+        rep.branchesPruned += m.totals.branchesPruned;
+        rep.branchesCapped += m.totals.branchesCapped + m.pending;
+        rep.snapshotForks += m.totals.snapshotForks;
+        rep.scratchReplays += m.totals.scratchReplays;
+        for (std::size_t j = 0; j < m.issues; ++j)
+            rep.issues.push_back(std::move(sub_issues[i][j]));
     }
     return rep;
 }

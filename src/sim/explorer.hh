@@ -60,7 +60,8 @@ struct ExploreOptions
      * the schedule (e.g. guarded-read scaffolds). */
     bool compareFinalState = true;
     /** Host threads fanning out over top-level branches (runMatrix
-     * style); 1 = sequential. */
+     * style); 1 = sequential. The report, maxSchedules cuts included,
+     * is the same for any value. */
     unsigned jobs = 1;
 };
 

@@ -342,17 +342,17 @@ statsJsonRecord(const JournalRun &run, Cycle window)
     }
 
     const TxJournal &j = *r.journal;
+    const TxJournal::Totals t = j.totals();
     os << ",\"journal\":{\"capacity\":" << j.capacity()
        << ",\"pushed\":" << j.pushed() << ",\"recorded\":" << j.size()
        << ",\"dropped\":" << j.dropped() << ",\"totals\":{"
-       << "\"commits\":" << j.totals().commits
-       << ",\"fallback_commits\":" << j.totals().fallbackCommits
-       << ",\"converted_commits\":" << j.totals().convertedCommits
-       << ",\"committed_attempts\":" << j.totals().committedAttempts()
-       << ",\"cycles_lost_to_aborts\":" << j.totals().cyclesLostToAborts
+       << "\"commits\":" << t.commits
+       << ",\"fallback_commits\":" << t.fallbackCommits
+       << ",\"converted_commits\":" << t.convertedCommits
+       << ",\"committed_attempts\":" << t.committedAttempts()
+       << ",\"cycles_lost_to_aborts\":" << t.cyclesLostToAborts
        << ",\"aborts\":";
-    emitAbortMap(os, j.totals().aborts, TxJournal::maxReasons,
-                 j.totals().totalAborts());
+    emitAbortMap(os, t.aborts, TxJournal::maxReasons, t.totalAborts());
     os << "},\"sites\":[";
 
     const auto sites = j.sitesByAborts();
@@ -553,14 +553,14 @@ journalSummary(const RunResult &r)
     if (!r.journal)
         return "journal: off\n";
     const TxJournal &j = *r.journal;
+    const TxJournal::Totals t = j.totals();
     std::ostringstream os;
     os << "journal: " << j.pushed() << " TX attempts (" << j.size()
        << " retained, " << j.dropped() << " dropped; capacity "
-       << j.capacity() << "), " << j.totals().commits << " hw commits, "
-       << j.totals().fallbackCommits << " fallback, "
-       << j.totals().convertedCommits << " converted, "
-       << j.totals().totalAborts() << " aborts ("
-       << j.totals().cyclesLostToAborts << " cycles lost), "
+       << j.capacity() << "), " << t.commits << " hw commits, "
+       << t.fallbackCommits << " fallback, " << t.convertedCommits
+       << " converted, " << t.totalAborts() << " aborts ("
+       << t.cyclesLostToAborts << " cycles lost), "
        << j.sites().size() << " TX sites\n";
     return os.str();
 }

@@ -30,32 +30,19 @@ namespace
 /** The software fallback lock lives below the globals region. */
 constexpr Addr fallbackLockAddr = 0xF000;
 
+static_assert(maxContexts == SchedIndex::maxContexts,
+              "the scheduler index must cover every context");
 static_assert(htm::numAbortReasons <= TxJournal::maxReasons,
               "journal reason array too small for the abort taxonomy");
 
 constexpr Cycle farFuture = std::numeric_limits<Cycle>::max();
 
-/** Per-hardware-context runtime state. */
-struct ContextState
+/** One hardware context: its snapshotted ContextState plus identity
+ * and the explorer's per-run scratch state. */
+struct Context : ContextState
 {
     std::unique_ptr<tir::ThreadInterp> interp;
     std::unique_ptr<htm::HtmController> htm;
-    Cycle readyAt = 0;
-    Cycle finishedAt = 0;
-    bool done = false;
-    bool atBarrier = false;
-    unsigned retries = 0;
-    bool mustFallback = false;
-    bool inFallback = false;
-    // Fig. 6 footprints of the in-flight TX, in blocks. Open-addressing
-    // sets: one insert per tracked access makes these hot.
-    AddrSet fpAll, fpNoStatic, fpUnsafe;
-    // Journal record of the in-flight TX attempt (journaling only).
-    TxRecord rec;
-    bool recOpen = false;
-    bool recConverted = false;
-    // Capacity-metrics measurement of the in-flight TX (metrics only).
-    TxMetricsCtx mtx;
     /** Descheduled by the ScheduleController: off the pick set until
      * another context is preempted in its place or nothing else is
      * runnable. Never true without a controller; deliberately outside
@@ -80,8 +67,8 @@ class Machine
           moduleTag_(&module),
           ctrl_(cfg.scheduleController)
     {
-        HINTM_ASSERT(!ctrl_ || num_threads <= 64,
-                     "schedule controller requires <= 64 contexts");
+        HINTM_ASSERT(num_threads <= maxContexts, "more than ",
+                     maxContexts, " hardware contexts");
         if (auto err = tir::verify(module))
             HINTM_FATAL("module fails verification: ", *err);
         HINTM_ASSERT(module.threadFunc >= 0, "module has no threadFunc");
@@ -134,12 +121,12 @@ class Machine
             const int vm_ctx = vm_->addContext();
             HINTM_ASSERT(mem_ctx == int(t) && vm_ctx == int(t),
                          "context id skew");
-            ContextState cs;
+            Context cs;
             cs.interp = std::make_unique<tir::ThreadInterp>(
                 prog_, ThreadId(t), module.threadFunc,
                 std::vector<std::int64_t>{std::int64_t(t)});
             cs.htm = std::make_unique<htm::HtmController>(
-                cfg.htm, mem::ContextId(t), &res_.htm);
+                cfg.htm, mem::ContextId(t), &st_.res.htm);
             tir::ThreadInterp *ip = cs.interp.get();
             cs.htm->setUndoHook([ip] { ip->undoStores(); });
             cs.htm->setHintOracle(oracle_.get());
@@ -163,15 +150,14 @@ class Machine
                 mem_->setListenerTxFiltered(mem::ContextId(t), true);
             }
         }
-        useSchedIndex_ =
-            cfg.schedIndex && ctxs_.size() <= SchedIndex::maxContexts;
+        useSchedIndex_ = cfg.schedIndex;
         if (useSchedIndex_) {
             rebuildSchedIndex();
             // Wake events: a controller signalling an abort into a
             // running TX invalidates any batched scheduling decision
             // (the victim's retry timing is about to change), so the
             // machine stops polling and lets the controllers publish.
-            for (ContextState &cs : ctxs_)
+            for (Context &cs : ctxs_)
                 cs.htm->setWakeHook([this] { schedDirty_ = true; });
         }
         if (cfg.htm.kind == htm::HtmKind::L1TM) {
@@ -211,9 +197,9 @@ class Machine
         // compare, not a modulo — this loop runs once per context
         // per simulated step. Scan order (and so tie-breaking on
         // equal readyAt) is unchanged.
-        unsigned c = rr_;
+        unsigned c = st_.rr;
         for (unsigned i = 0; i < n; ++i) {
-            const ContextState &cs = ctxs_[c];
+            const Context &cs = ctxs_[c];
             if (!cs.done) {
                 ++live;
                 if (!cs.atBarrier && cs.readyAt < best_t) {
@@ -228,9 +214,9 @@ class Machine
             return false;
         if (best < 0)
             deadlockPanic();
-        now_ = std::max(now_, best_t);
-        step(unsigned(best), now_);
-        rr_ = unsigned(best) + 1 == n ? 0 : unsigned(best) + 1;
+        st_.now = std::max(st_.now, best_t);
+        step(unsigned(best), st_.now);
+        st_.rr = unsigned(best) + 1 == n ? 0 : unsigned(best) + 1;
         return true;
     }
 
@@ -254,17 +240,17 @@ class Machine
             return;
         }
         if (!useSchedIndex_) {
-            while (res_.committedTxs < commit_target && stepOnce()) {
+            while (st_.res.committedTxs < commit_target && stepOnce()) {
             }
             return;
         }
-        while (res_.committedTxs < commit_target && sched_.anyLive()) {
+        while (st_.res.committedTxs < commit_target && sched_.anyLive()) {
             // With the lock free, a parked spinner's next re-check is a
             // real step: hand back every spinner due by the next pick.
-            if (spinCount_ && lockHolder_ < 0)
+            if (spinCount_ && st_.lockHolder < 0)
                 unparkSpinners(sched_.minKey());
             const SchedIndex::Pick p = sched_.pick(
-                rr_, [this](std::uint64_t mask, unsigned) {
+                st_.rr, [this](std::uint64_t mask, unsigned) {
                     return chooseAmidSpinners(mask, sched_.tieKey());
                 });
             if (p.winner < 0) {
@@ -272,29 +258,29 @@ class Machine
                 deadlockPanic();
             }
             const unsigned w = unsigned(p.winner);
-            ContextState &cs = ctxs_[w];
+            Context &cs = ctxs_[w];
             // A context restored with a readyAt behind the clock (one
             // preempted in an explorer snapshot) steps late, off the
             // re-check grid the spinner ring assumes: never parked.
-            const bool on_time = p.key >= now_;
-            now_ = std::max(now_, p.key);
+            const bool on_time = p.key >= st_.now;
+            st_.now = std::max(st_.now, p.key);
             schedDirty_ = false;
             spunIdle_ = false;
-            step(w, now_);
-            rr_ = rrAfter(w);
+            step(w, st_.now);
+            st_.rr = rrAfter(w);
             // A batch also ends where a parked spinner re-checks the
             // free lock: that re-check is a real step to pick.
             while (!spunIdle_ && !schedDirty_ && !cs.done &&
                    !cs.atBarrier && cs.readyAt < p.bound &&
-                   res_.committedTxs < commit_target &&
-                   !(spinCount_ && lockHolder_ < 0 &&
+                   st_.res.committedTxs < commit_target &&
+                   !(spinCount_ && st_.lockHolder < 0 &&
                      spinRing_[spinHead_].next <= cs.readyAt)) {
-                now_ = std::max(now_, cs.readyAt);
-                // w is the only real step at now_; this folds the
+                st_.now = std::max(st_.now, cs.readyAt);
+                // w is the only real step at now; this folds the
                 // parked re-checks that precede it.
-                chooseAmidSpinners(std::uint64_t(1) << w, now_);
-                step(w, now_);
-                rr_ = rrAfter(w);
+                chooseAmidSpinners(std::uint64_t(1) << w, st_.now);
+                step(w, st_.now);
+                st_.rr = rrAfter(w);
             }
             // Close the batch: republish w's scheduler state (its heap
             // entries at the picked key were consumed by pick()).
@@ -309,7 +295,7 @@ class Machine
         }
         // Hand the parked spinners back at their exact pending
         // re-checks, so snapshot() and a resumed runLoop see exactly the
-        // reference state (rr_ and now_ already are).
+        // reference state (rr and now already are).
         unparkSpinners();
     }
 
@@ -325,14 +311,14 @@ class Machine
     runControlled(std::uint64_t commit_target)
     {
         const unsigned n = unsigned(ctxs_.size());
-        while (res_.committedTxs < commit_target) {
+        while (st_.res.committedTxs < commit_target) {
             int w = -1;
             Cycle key = 0;
             if (useSchedIndex_) {
                 if (!sched_.anyLive())
                     break;
                 const SchedIndex::Pick p = sched_.pick(
-                    rr_, [this](std::uint64_t mask, unsigned r) {
+                    st_.rr, [this](std::uint64_t mask, unsigned r) {
                         return ctrl_->chooseTie(mask, r);
                     });
                 if (p.winner < 0) {
@@ -349,7 +335,7 @@ class Machine
                 std::uint64_t tie = 0;
                 unsigned live = 0;
                 for (unsigned c = 0; c < n; ++c) {
-                    const ContextState &cs = ctxs_[c];
+                    const Context &cs = ctxs_[c];
                     if (cs.done)
                         continue;
                     ++live;
@@ -370,16 +356,16 @@ class Machine
                         continue;
                     deadlockPanic();
                 }
-                w = int(ctrl_->chooseTie(tie, rr_));
+                w = int(ctrl_->chooseTie(tie, st_.rr));
                 HINTM_ASSERT(w >= 0 && w < int(n) && (tie >> w & 1),
                              "tie-break chose an ineligible context");
                 key = best_t;
             }
-            ContextState &cs = ctxs_[unsigned(w)];
-            now_ = std::max(now_, key);
+            Context &cs = ctxs_[unsigned(w)];
+            st_.now = std::max(st_.now, key);
             pendingEv_ = -1;
-            step(unsigned(w), now_);
-            rr_ = unsigned(w) + 1 == n ? 0 : unsigned(w) + 1;
+            step(unsigned(w), st_.now);
+            st_.rr = unsigned(w) + 1 == n ? 0 : unsigned(w) + 1;
             if (useSchedIndex_) {
                 if (cs.done)
                     sched_.retire(unsigned(w));
@@ -400,7 +386,7 @@ class Machine
     preemptContext(unsigned c)
     {
         bool changed = releasePreemptedFlags();
-        ContextState &cs = ctxs_[c];
+        Context &cs = ctxs_[c];
         if (!cs.done && !cs.atBarrier && !cs.preempted) {
             cs.preempted = true;
             changed = true;
@@ -409,7 +395,7 @@ class Machine
             rebuildSchedIndex();
     }
 
-    Cycle nowCycle() const { return now_; }
+    Cycle nowCycle() const { return st_.now; }
 
     RunResult
     run()
@@ -423,57 +409,57 @@ class Machine
     {
         HINTM_ASSERT(!finalized_, "machine finalized twice");
         finalized_ = true;
-        for (const ContextState &cs : ctxs_) {
-            res_.cycles = std::max(res_.cycles, cs.finishedAt);
-            res_.instructions += cs.interp->instrCount();
+        for (const Context &cs : ctxs_) {
+            st_.res.cycles = std::max(st_.res.cycles, cs.finishedAt);
+            st_.res.instructions += cs.interp->instrCount();
         }
-        res_.safePages = vm_->pageTable().countPages(true);
-        res_.totalPages = vm_->pageTable().totalPages();
-        res_.pageModeOverheadCycles =
-            shootdownCycles_ +
-            res_.htm.cyclesLost[unsigned(htm::AbortReason::PageMode)];
+        st_.res.safePages = vm_->pageTable().countPages(true);
+        st_.res.totalPages = vm_->pageTable().totalPages();
+        st_.res.pageModeOverheadCycles =
+            st_.shootdownCycles +
+            st_.res.htm.cyclesLost[unsigned(htm::AbortReason::PageMode)];
         if (cfg_.profileSharing) {
-            res_.blockSharing = profiler_.blockSummary();
-            res_.pageSharing = profiler_.pageSummary();
+            st_.res.blockSharing = st_.profiler.blockSummary();
+            st_.res.pageSharing = st_.profiler.pageSummary();
         }
         if (oracle_) {
-            res_.oracleSafeChecked = oracle_->safeAccessesChecked();
-            res_.oracleSafeSkips = oracle_->safeSkips();
+            st_.res.oracleSafeChecked = oracle_->safeAccessesChecked();
+            st_.res.oracleSafeSkips = oracle_->safeSkips();
             for (const htm::HintOracle::Witness &w : oracle_->witnesses())
-                res_.oracleWitnesses.push_back(
+                st_.res.oracleWitnesses.push_back(
                     htm::HintOracle::describe(w, prog_.module()));
         }
         if (journal_) {
-            trace::event(trace::Category::Journal, res_.cycles,
+            trace::event(trace::Category::Journal, st_.res.cycles,
                          "TX journal flush: ", journal_->pushed(),
                          " attempts recorded, ", journal_->dropped(),
                          " dropped (ring capacity ",
                          journal_->capacity(), ")");
-            res_.journal = journal_;
+            st_.res.journal = journal_;
         }
         if (metrics_)
-            res_.metrics = metrics_;
+            st_.res.metrics = metrics_;
         if (cfg_.collectRawStats) {
             std::ostringstream os;
-            mem_->statGroup().dump(os);
-            vm_->statGroup().dump(os);
-            res_.rawStats = os.str();
+            mem_->stats().dump(os);
+            vm_->stats().dump(os);
+            st_.res.rawStats = os.str();
         }
         for (const tir::Global &g : prog_.module().globals) {
             std::vector<std::int64_t> words;
             for (Addr off = 0; off < g.sizeBytes; off += 8)
                 words.push_back(prog_.space().read(g.addr + off));
-            res_.finalGlobals.emplace(g.name, std::move(words));
+            st_.res.finalGlobals.emplace(g.name, std::move(words));
         }
-        return res_;
+        return st_.res;
     }
 
-    std::uint64_t committedTxs() const { return res_.committedTxs; }
+    std::uint64_t committedTxs() const { return st_.res.committedTxs; }
 
     bool
     finished() const
     {
-        for (const ContextState &cs : ctxs_) {
+        for (const Context &cs : ctxs_) {
             if (!cs.done)
                 return false;
         }
@@ -490,36 +476,14 @@ class Machine
         HINTM_ASSERT(!finalized_, "snapshot after finalization");
         HINTM_ASSERT(spinMask_ == 0, "snapshot with parked spinners");
         MachineSnapshot s;
+        static_cast<MachineState &>(s) = st_;
         s.program = prog_.saveState();
         s.mem = mem_->saveState();
         s.vm = vm_->saveState();
         s.ctxs.reserve(ctxs_.size());
-        for (const ContextState &cs : ctxs_) {
-            MachineContextSnapshot c;
-            c.interp = cs.interp->saveState();
-            c.htm = cs.htm->saveState();
-            c.readyAt = cs.readyAt;
-            c.finishedAt = cs.finishedAt;
-            c.done = cs.done;
-            c.atBarrier = cs.atBarrier;
-            c.retries = cs.retries;
-            c.mustFallback = cs.mustFallback;
-            c.inFallback = cs.inFallback;
-            c.fpAll = cs.fpAll;
-            c.fpNoStatic = cs.fpNoStatic;
-            c.fpUnsafe = cs.fpUnsafe;
-            c.rec = cs.rec;
-            c.recOpen = cs.recOpen;
-            c.recConverted = cs.recConverted;
-            c.mtx = cs.mtx;
-            s.ctxs.push_back(std::move(c));
-        }
-        s.lockHolder = lockHolder_;
-        s.shootdownCycles = shootdownCycles_;
-        s.profiler = profiler_;
-        s.partial = res_;
-        s.partial.journal.reset();
-        s.partial.metrics.reset();
+        for (const Context &cs : ctxs_)
+            s.ctxs.push_back(
+                {cs, cs.interp->saveState(), cs.htm->saveState()});
         if (journal_) {
             s.journal = *journal_;
             s.hasJournal = true;
@@ -528,9 +492,6 @@ class Machine
             s.metrics = *metrics_;
             s.hasMetrics = true;
         }
-        s.now = now_;
-        s.rr = rr_;
-        s.numThreads = unsigned(ctxs_.size());
         s.moduleTag = moduleTag_;
         return s;
     }
@@ -541,7 +502,7 @@ class Machine
         HINTM_ASSERT(!cfg_.hintOracle,
                      "restore into a hint-oracle machine is unsupported");
         HINTM_ASSERT(s.moduleTag == moduleTag_ &&
-                         s.numThreads == ctxs_.size(),
+                         s.ctxs.size() == ctxs_.size(),
                      "snapshot does not match this machine");
         HINTM_ASSERT(s.hasJournal == bool(journal_),
                      "snapshot journal mode mismatch");
@@ -550,30 +511,17 @@ class Machine
         // Restoring un-finalizes: the explorer reuses one machine for
         // many branches, finishing each before restoring the next.
         finalized_ = false;
+        st_ = s;
         prog_.loadState(s.program);
         mem_->loadState(s.mem);
         vm_->loadState(s.vm);
         // Controllers after the memory system: their loadState
         // re-publishes listener interest into the restored mem state.
         for (std::size_t i = 0; i < ctxs_.size(); ++i) {
-            ContextState &cs = ctxs_[i];
-            const MachineContextSnapshot &c = s.ctxs[i];
-            cs.interp->loadState(c.interp);
-            cs.htm->loadState(c.htm);
-            cs.readyAt = c.readyAt;
-            cs.finishedAt = c.finishedAt;
-            cs.done = c.done;
-            cs.atBarrier = c.atBarrier;
-            cs.retries = c.retries;
-            cs.mustFallback = c.mustFallback;
-            cs.inFallback = c.inFallback;
-            cs.fpAll = c.fpAll;
-            cs.fpNoStatic = c.fpNoStatic;
-            cs.fpUnsafe = c.fpUnsafe;
-            cs.rec = c.rec;
-            cs.recOpen = c.recOpen;
-            cs.recConverted = c.recConverted;
-            cs.mtx = c.mtx;
+            Context &cs = ctxs_[i];
+            static_cast<ContextState &>(cs) = s.ctxs[i];
+            cs.interp->loadState(s.ctxs[i].interp);
+            cs.htm->loadState(s.ctxs[i].htm);
             // Snapshots never carry preemption or filter state; a
             // forked branch re-applies its preemption after restore and
             // rebuilds footprints conservatively.
@@ -581,16 +529,10 @@ class Machine
             cs.ctlFpCur.clear();
             cs.ctlFpLast.clear();
         }
-        lockHolder_ = s.lockHolder;
-        shootdownCycles_ = s.shootdownCycles;
-        profiler_ = s.profiler;
-        res_ = s.partial;
         if (journal_)
             *journal_ = s.journal;
         if (metrics_)
             *metrics_ = s.metrics;
-        now_ = s.now;
-        rr_ = s.rr;
         if (useSchedIndex_)
             rebuildSchedIndex();
     }
@@ -639,7 +581,7 @@ class Machine
     void
     step(unsigned c, Cycle now)
     {
-        ContextState &cs = ctxs_[c];
+        Context &cs = ctxs_[c];
         if (cs.htm->abortPending()) {
             handleAbort(c, now);
             return;
@@ -680,7 +622,7 @@ class Machine
 
     /** Open a journal record for the TX attempt starting now. */
     void
-    openRecord(ContextState &cs, unsigned c, Cycle now,
+    openRecord(Context &cs, unsigned c, Cycle now,
                const tir::Step &st, TxOutcome kind)
     {
         cs.rec = TxRecord{};
@@ -699,7 +641,7 @@ class Machine
     void
     handleAbort(unsigned c, Cycle now)
     {
-        ContextState &cs = ctxs_[c];
+        Context &cs = ctxs_[c];
         if (journal_ && cs.recOpen) {
             // Footprints and attribution are read before the ack
             // clears the controller's tracking state.
@@ -768,10 +710,10 @@ class Machine
     void
     handleTxBegin(unsigned c, Cycle now, const tir::Step &st)
     {
-        ContextState &cs = ctxs_[c];
+        Context &cs = ctxs_[c];
         Cycle cost = simpleCost(st);
 
-        if (lockHolder_ >= 0) {
+        if (st_.lockHolder >= 0) {
             // Someone is in the software fallback: wait for release.
             cs.readyAt = now + cost + cfg_.fallbackSpinCycles;
             // A zero-cost re-check repeats with period
@@ -782,34 +724,14 @@ class Machine
         }
 
         if (cs.mustFallback) {
-            lockHolder_ = int(c);
-            ++res_.fallbackRuns;
-            if (metrics_) {
-                cs.mtx.lockAcquiredAt = now;
-                cs.mtx.lockHeld = true;
-            }
-            trace::event(trace::Category::Tx, now, "ctx ", c,
-                         " acquires the fallback lock");
-            // Abort every running hardware TX (they all subscribed to
-            // the lock), then publish the acquisition. The seeded
-            // lazy-subscription bug has no subscribers to kill.
-            if (!cfg_.unsafeLazySubscription) {
-                for (unsigned o = 0; o < ctxs_.size(); ++o) {
-                    if (o != c && ctxs_[o].htm->inTx())
-                        ctxs_[o].htm->requestAbort(
-                            htm::AbortReason::FallbackLock,
-                            std::int32_t(c));
-                }
-            }
-            const auto ar =
-                mem_->access(mem::ContextId(c), fallbackLockAddr,
-                             AccessType::Write);
-            cost += ar.latency + cfg_.htm.beginCycles;
+            ++st_.res.fallbackRuns;
+            cost += acquireFallbackLock(c, now,
+                                        " acquires the fallback lock") +
+                    cfg_.htm.beginCycles;
             cs.interp->enterTx(/*htm_mode=*/false);
             cs.inFallback = true;
             if (journal_)
                 openRecord(cs, c, now, st, TxOutcome::FallbackCommit);
-            noteEvent(SchedEvent::LockAcquire);
         } else {
             cs.htm->beginTx(now);
             trace::event(trace::Category::Tx, now, "ctx ", c,
@@ -839,10 +761,37 @@ class Machine
         cs.readyAt = now + cost;
     }
 
+    /** Context @p c takes the free fallback lock at @p now: abort
+     * every running hardware TX (they all subscribed to the lock word),
+     * then write the lock word. The seeded lazy-subscription bug has no
+     * subscribers to kill. @return the lock write's latency. */
+    Cycle
+    acquireFallbackLock(unsigned c, Cycle now, const char *what)
+    {
+        Context &cs = ctxs_[c];
+        st_.lockHolder = int(c);
+        if (metrics_) {
+            cs.mtx.lockAcquiredAt = now;
+            cs.mtx.lockHeld = true;
+        }
+        trace::event(trace::Category::Tx, now, "ctx ", c, what);
+        if (!cfg_.unsafeLazySubscription) {
+            for (unsigned o = 0; o < ctxs_.size(); ++o) {
+                if (o != c && ctxs_[o].htm->inTx())
+                    ctxs_[o].htm->requestAbort(
+                        htm::AbortReason::FallbackLock, std::int32_t(c));
+            }
+        }
+        noteEvent(SchedEvent::LockAcquire);
+        return mem_->access(mem::ContextId(c), fallbackLockAddr,
+                            AccessType::Write)
+            .latency;
+    }
+
     void
     handleTxEnd(unsigned c, Cycle now, const tir::Step &st)
     {
-        ContextState &cs = ctxs_[c];
+        Context &cs = ctxs_[c];
         Cycle cost = simpleCost(st) + cfg_.htm.commitCycles;
 
         if (journal_ && cs.recOpen) {
@@ -865,8 +814,8 @@ class Machine
         }
 
         if (cs.inFallback) {
-            HINTM_ASSERT(lockHolder_ == int(c), "lock bookkeeping broken");
-            lockHolder_ = -1;
+            HINTM_ASSERT(st_.lockHolder == int(c), "lock bookkeeping broken");
+            st_.lockHolder = -1;
             if (metrics_) {
                 if (cs.mtx.lockHeld) {
                     metrics_->fallbackSeries.addSpan(cs.mtx.lockAcquiredAt,
@@ -894,10 +843,10 @@ class Machine
             // section may be mutating. Impossible with eager
             // subscription (the acquisition aborts every TX); the
             // seeded lazy-subscription bug makes it reachable.
-            if (lockHolder_ >= 0 && lockHolder_ != int(c)) {
-                ++res_.subscriptionViolations;
+            if (st_.lockHolder >= 0 && st_.lockHolder != int(c)) {
+                ++st_.res.subscriptionViolations;
                 trace::event(trace::Category::Tx, now, "ctx ", c,
-                             " commits while ctx ", lockHolder_,
+                             " commits while ctx ", st_.lockHolder,
                              " holds the fallback lock");
             }
             trace::event(trace::Category::Tx, now, "ctx ", c, " commits (",
@@ -911,9 +860,9 @@ class Machine
                 cs.ctlFpCur.clear();
             }
             if (cfg_.collectTxSizes) {
-                res_.txSizeAll.sample(cs.fpAll.size());
-                res_.txSizeNoStatic.sample(cs.fpNoStatic.size());
-                res_.txSizeUnsafe.sample(cs.fpUnsafe.size());
+                st_.res.txSizeAll.sample(cs.fpAll.size());
+                st_.res.txSizeNoStatic.sample(cs.fpNoStatic.size());
+                st_.res.txSizeUnsafe.sample(cs.fpUnsafe.size());
             }
         }
         cs.interp->completeTxEnd();
@@ -921,7 +870,7 @@ class Machine
         cs.fpAll.clear();
         cs.fpNoStatic.clear();
         cs.fpUnsafe.clear();
-        ++res_.committedTxs;
+        ++st_.res.committedTxs;
         cs.readyAt = now + cost;
     }
 
@@ -940,7 +889,7 @@ class Machine
      * InfCap: never (nothing to overflow).
      */
     bool
-    hintSavedVerdict(const ContextState &cs) const
+    hintSavedVerdict(const Context &cs) const
     {
         if (cfg_.htm.kind == htm::HtmKind::InfCap)
             return false;
@@ -985,14 +934,14 @@ class Machine
     void
     handleMem(unsigned c, Cycle now, const tir::Step &st)
     {
-        ContextState &cs = ctxs_[c];
+        Context &cs = ctxs_[c];
         Cycle cost = simpleCost(st);
         const bool suspended = cs.interp->suspended();
         const bool in_htm_tx =
             cs.interp->inTx() && cs.interp->htmMode() && !suspended;
         const bool in_any_tx = cs.interp->inTx() && !suspended;
         if (cs.interp->inTx() && suspended)
-            ++res_.txAccessesSuspended;
+            ++st_.res.txAccessesSuspended;
 
         // 1. Address translation + dynamic classification. The memoized
         // probe covers the common TLB-hit/no-transition case; misses and
@@ -1007,26 +956,26 @@ class Machine
             trace::event(trace::Category::Vm, now, "page ", tr.pageNum,
                          " became unsafe (ctx ", c, " write), ",
                          tr.slaveCosts.size(), " shootdown slaves");
-            shootdownCycles_ += cfg_.vm.shootdownInitiatorCycles;
+            st_.shootdownCycles += cfg_.vm.shootdownInitiatorCycles;
             for (const auto &[victim, slave] : tr.slaveCosts) {
-                ContextState &vs = ctxs_[std::size_t(victim)];
+                Context &vs = ctxs_[std::size_t(victim)];
                 if (spinMask_ >> victim & 1) {
                     // A parked spinner's readyAt is its next pending
                     // re-check; it rejoins the index from there.
                     vs.readyAt = unparkSpinner(unsigned(victim)) + slave;
-                    shootdownCycles_ += slave;
+                    st_.shootdownCycles += slave;
                     sched_.unblock(unsigned(victim), vs.readyAt);
                     schedDirty_ = true;
                     continue;
                 }
                 vs.readyAt = std::max(vs.readyAt, now) + slave;
-                shootdownCycles_ += slave;
+                st_.shootdownCycles += slave;
                 if (useSchedIndex_) {
                     sched_.setReady(unsigned(victim), vs.readyAt);
                     schedDirty_ = true;
                 }
             }
-            for (ContextState &other : ctxs_)
+            for (Context &other : ctxs_)
                 other.htm->onPageBecameUnsafe(tr.pageNum);
         }
         if (cs.htm->abortPending()) {
@@ -1092,28 +1041,10 @@ class Machine
                 // Pre-abort handler: convert the overflowing TX into a
                 // critical section when the fallback lock is free,
                 // preserving the work done so far; else abort normally.
-                if (lockHolder_ < 0) {
-                    lockHolder_ = int(c);
-                    if (metrics_) {
-                        cs.mtx.lockAcquiredAt = now;
-                        cs.mtx.lockHeld = true;
-                    }
-                    trace::event(trace::Category::Tx, now, "ctx ", c,
-                                 " converts overflowing TX to a "
-                                 "critical section");
-                    if (!cfg_.unsafeLazySubscription) {
-                        for (unsigned o = 0; o < ctxs_.size(); ++o) {
-                            if (o != c && ctxs_[o].htm->inTx())
-                                ctxs_[o].htm->requestAbort(
-                                    htm::AbortReason::FallbackLock,
-                                    std::int32_t(c));
-                        }
-                    }
-                    noteEvent(SchedEvent::LockAcquire);
-                    const auto lr = mem_->access(mem::ContextId(c),
-                                                 fallbackLockAddr,
-                                                 AccessType::Write);
-                    cost += lr.latency;
+                if (st_.lockHolder < 0) {
+                    cost += acquireFallbackLock(
+                        c, now,
+                        " converts overflowing TX to a critical section");
                     if (journal_ && cs.recOpen) {
                         // Footprint at the moment tracking stops.
                         cs.rec.readBlocks =
@@ -1156,18 +1087,18 @@ class Machine
             }
             if (is_read) {
                 if (static_safe)
-                    ++res_.txReadsStaticSafe;
+                    ++st_.res.txReadsStaticSafe;
                 else if (dyn_safe)
-                    ++res_.txReadsDynSafe;
+                    ++st_.res.txReadsDynSafe;
                 else if (annot_safe)
-                    ++res_.txReadsAnnotated;
+                    ++st_.res.txReadsAnnotated;
                 else
-                    ++res_.txReadsUnsafe;
+                    ++st_.res.txReadsUnsafe;
             } else {
                 if (static_safe)
-                    ++res_.txWritesStaticSafe;
+                    ++st_.res.txWritesStaticSafe;
                 else
-                    ++res_.txWritesUnsafe;
+                    ++st_.res.txWritesUnsafe;
             }
             if (cfg_.collectTxSizes) {
                 const Addr blk = blockNumber(st.addr);
@@ -1182,9 +1113,9 @@ class Machine
         } else if (in_any_tx) {
             // Fallback-mode TX: everything is effectively unsafe.
             if (st.accessType == AccessType::Read)
-                ++res_.txReadsUnsafe;
+                ++st_.res.txReadsUnsafe;
             else
-                ++res_.txWritesUnsafe;
+                ++st_.res.txWritesUnsafe;
         }
 
         // 4. Timing + coherence (may abort other contexts; their undo
@@ -1211,7 +1142,7 @@ class Machine
         cs.interp->completeMem();
 
         if (cfg_.profileSharing) {
-            profiler_.record(cs.interp->tid(), st.addr, st.accessType,
+            st_.profiler.record(cs.interp->tid(), st.addr, st.accessType,
                              in_any_tx);
         }
         cs.readyAt = now + cost;
@@ -1221,7 +1152,7 @@ class Machine
     maybeReleaseBarrier(Cycle now)
     {
         unsigned live = 0, waiting = 0;
-        for (const ContextState &cs : ctxs_) {
+        for (const Context &cs : ctxs_) {
             if (cs.done)
                 continue;
             ++live;
@@ -1234,7 +1165,7 @@ class Machine
                      waiting, " contexts");
         noteEvent(SchedEvent::Barrier);
         for (unsigned c = 0; c < ctxs_.size(); ++c) {
-            ContextState &cs = ctxs_[c];
+            Context &cs = ctxs_[c];
             if (cs.done || !cs.atBarrier)
                 continue;
             cs.interp->passBarrier();
@@ -1267,7 +1198,7 @@ class Machine
     releasePreemptedFlags()
     {
         bool any = false;
-        for (ContextState &cs : ctxs_) {
+        for (Context &cs : ctxs_) {
             if (cs.preempted) {
                 cs.preempted = false;
                 any = true;
@@ -1294,7 +1225,7 @@ class Machine
     void
     decisionPoint(unsigned c, SchedEvent ev)
     {
-        const ContextState &cs = ctxs_[c];
+        const Context &cs = ctxs_[c];
         if (cs.done)
             return; // a Done step released a barrier: nothing to preempt
         bool other_runnable = false;
@@ -1311,13 +1242,13 @@ class Machine
         // runnable release never fires): model the OS eventually
         // rescheduling the holder. Purely state-driven, so forked and
         // replayed branches release at the same step.
-        if (ev == SchedEvent::LockSpin && lockHolder_ >= 0 &&
-            ctxs_[unsigned(lockHolder_)].preempted)
+        if (ev == SchedEvent::LockSpin && st_.lockHolder >= 0 &&
+            ctxs_[unsigned(st_.lockHolder)].preempted)
             releasePreempted();
         SchedDecision d;
         d.event = ev;
         d.ctx = c;
-        d.cycle = now_;
+        d.cycle = st_.now;
         d.dependent = decisionDependent(c, ev);
         if (ctrl_->onDecision(d))
             preemptContext(c);
@@ -1349,9 +1280,9 @@ class Machine
           default:
             break;
         }
-        if (lockHolder_ >= 0)
+        if (st_.lockHolder >= 0)
             return true;
-        const ContextState &cs = ctxs_[c];
+        const Context &cs = ctxs_[c];
         if (cs.ctlFpCur.empty() && cs.ctlFpLast.empty())
             return true;
         bool dep = false;
@@ -1367,7 +1298,7 @@ class Machine
             for (unsigned o = 0; o < ctxs_.size() && !dep; ++o) {
                 if (o == c)
                     continue;
-                const ContextState &po = ctxs_[o];
+                const Context &po = ctxs_[o];
                 if ((po.htm->inTx() &&
                      (po.htm->readsBlock(blk) ||
                       po.htm->writesBlock(blk))) ||
@@ -1402,23 +1333,23 @@ class Machine
      * A context whose TxBegin finds the lock held, at no cost beyond the
      * re-check, is stepped again every P = fallbackSpinCycles until the
      * lock frees, and each of those steps changes nothing but its own
-     * readyAt and the round-robin cursor rr_. parkSpinner() takes such a
+     * readyAt and the round-robin cursor rr. parkSpinner() takes such a
      * context off the index; its re-checks become virtual steps at
      * t0 + P, t0 + 2P, ... Parked spinners sit in groups of equal next
      * re-check, in a ring ordered by that cycle. All of a ring's cycles
      * lie in one window [head.next, head.next + P), so a group that
      * re-checks moves from the head to the tail.
      *
-     * A re-check is virtual only while the lock is held, and then rr_ is
+     * A re-check is virtual only while the lock is held, and then rr is
      * its only visible effect; every place that can observe one
      * reconstructs it:
      *  - fold: before each real step at cycle t with the lock held, every
      *    group due before t is passed in order; stepping a group in
-     *    rotation from rr_ leaves rr_ one past the member that rotation
+     *    rotation from rr leaves rr one past the member that rotation
      *    visits last.
      *  - same cycle: spinners due at t interleave with the contexts tied
      *    at t in rotation order. The real pick is the first tied context
-     *    at or after the folded rr_; the due spinners between rr_ and it
+     *    at or after the folded rr; the due spinners between rr and it
      *    step first and leave spinDue_.
      *  - free lock: after a release, a re-check is a real step again.
      *    Before each pick, the spinners due by the index's earliest
@@ -1431,7 +1362,7 @@ class Machine
      *    snapshot records is the reference's.
      */
 
-    /** rr_ after stepping context @p c. */
+    /** rr after stepping context @p c. */
     unsigned
     rrAfter(unsigned c) const
     {
@@ -1454,14 +1385,14 @@ class Machine
     chooseAmidSpinners(std::uint64_t mask, Cycle t)
     {
         if (spinCount_ == 0)
-            return defaultTieBreak(mask, rr_);
+            return defaultTieBreak(mask, st_.rr);
         // Nothing parked is due by t unless the lock is held (runLoop
         // hands spinners back first while it is free).
         while (spinRing_[spinHead_].next < t)
             passSpinGroup();
-        const unsigned w = defaultTieBreak(mask, rr_);
+        const unsigned w = defaultTieBreak(mask, st_.rr);
         if (spinRing_[spinHead_].next == t)
-            spinDue_ &= ~rotationBefore(rr_, w);
+            spinDue_ &= ~rotationBefore(st_.rr, w);
         return w;
     }
 
@@ -1472,11 +1403,11 @@ class Machine
     {
         SpinGroup g = spinRing_[spinHead_];
         if (spinDue_) {
-            // The last spinner the rotation from rr_ visits: the highest
-            // below rr_, else the highest overall.
+            // The last spinner the rotation from rr visits: the highest
+            // below rr, else the highest overall.
             const std::uint64_t below =
-                spinDue_ & ((std::uint64_t(1) << rr_) - 1);
-            rr_ = rrAfter(
+                spinDue_ & ((std::uint64_t(1) << st_.rr) - 1);
+            st_.rr = rrAfter(
                 unsigned(63 - std::countl_zero(below ? below : spinDue_)));
         }
         g.next += cfg_.fallbackSpinCycles;
@@ -1485,26 +1416,26 @@ class Machine
         spinDue_ = spinRing_[spinHead_].mask;
     }
 
-    /** Take context @p c off the index after a zero-cost spin at now_
-     * (its readyAt is now_ + P). */
+    /** Take context @p c off the index after a zero-cost spin at now
+     * (its readyAt is now + P). */
     void
     parkSpinner(unsigned c)
     {
         const std::uint64_t bit = std::uint64_t(1) << c;
         const Cycle next = ctxs_[c].readyAt;
-        HINTM_ASSERT(next == now_ + cfg_.fallbackSpinCycles,
+        HINTM_ASSERT(next == st_.now + cfg_.fallbackSpinCycles,
                      "parked spinner off its re-check period");
         sched_.block(c, next);
         spinMask_ |= bit;
         if (spinCount_) {
             SpinGroup &head = spinRing_[spinHead_];
-            if (head.next == now_) {
+            if (head.next == st_.now) {
                 // Same phase as the head group, which is due now: join
                 // it for its next round (not due now: not in spinDue_).
                 head.mask |= bit;
                 return;
             }
-            // Every group is due in (now_, next]; only one parked this
+            // Every group is due in (now, next]; only one parked this
             // cycle can be due at next itself, and it is the tail.
             SpinGroup &tail =
                 spinRing_[(spinHead_ + spinCount_ - 1) % spinRingSize];
@@ -1586,11 +1517,11 @@ class Machine
     deadlockPanic() const
     {
         std::ostringstream os;
-        os << "deadlock: all live contexts blocked (now=" << now_
-           << " rr=" << rr_ << " fallbackLockHolder=" << lockHolder_
+        os << "deadlock: all live contexts blocked (now=" << st_.now
+           << " rr=" << st_.rr << " fallbackLockHolder=" << st_.lockHolder
            << ")";
         for (unsigned c = 0; c < ctxs_.size(); ++c) {
-            const ContextState &cs = ctxs_[c];
+            const Context &cs = ctxs_[c];
             os << "\n  ctx " << c << ": readyAt=" << cs.readyAt
                << " done=" << cs.done << " atBarrier=" << cs.atBarrier
                << " inTx=" << cs.htm->inTx()
@@ -1616,16 +1547,12 @@ class Machine
     std::unique_ptr<htm::HintOracle> oracle_;
     std::shared_ptr<TxJournal> journal_;
     std::shared_ptr<MetricsRegistry> metrics_;
-    std::vector<ContextState> ctxs_;
-    int lockHolder_ = -1;
-    std::uint64_t shootdownCycles_ = 0;
-    SharingProfiler profiler_;
-    RunResult res_;
-    /** Scheduler clock + round-robin cursor (members so a run can be
+    std::vector<Context> ctxs_;
+    /** Lock holder, results so far, scheduler clock and cursor: the
+     * machine-wide state a snapshot captures (members so a run can be
      * interrupted for snapshotting and resumed). */
-    Cycle now_ = 0;
-    unsigned rr_ = 0;
-    /** Event-driven ready-context index (cfg.schedIndex, <=64 ctxs). */
+    MachineState st_;
+    /** Event-driven ready-context index (cfg.schedIndex). */
     SchedIndex sched_;
     bool useSchedIndex_ = false;
     /** Set whenever a step mutates another context's scheduler state

@@ -34,6 +34,11 @@ namespace sim
 
 class ScheduleController;
 
+/** Most hardware contexts (and cores) a machine has: the coherence,
+ * listener and scheduler masks are 64-bit. SystemOptions::validate
+ * rejects larger configurations. */
+constexpr unsigned maxContexts = 64;
+
 /** Everything needed to instantiate a machine (Table II defaults). */
 struct MachineConfig
 {
@@ -80,8 +85,7 @@ struct MachineConfig
     /** Pick runnable contexts through the event-driven scheduler index
      * (bitmask + min-heap pick with batched stepping); false selects
      * the reference O(contexts) rotating scan. Behavior-preserving:
-     * the step sequence and results are bit-identical either way.
-     * Machines with more than 64 contexts always use the scan. */
+     * the step sequence and results are bit-identical either way. */
     bool schedIndex = true;
     /** Shadow-track safe-hinted accesses and report any that overlap a
      * remote write (dynamic hint-soundness oracle). Observation only:
@@ -103,7 +107,7 @@ struct MachineConfig
     /** Scheduler nondeterminism hook (schedule.hh): tie-breaks and
      * TX-event preemption points route through it. Null (the default)
      * leaves every scheduler hot path untouched; the machine does not
-     * own the object. Requires <= 64 contexts. */
+     * own the object. */
     ScheduleController *scheduleController = nullptr;
     /** Seeded bug for the schedule explorer: hardware TXs skip the
      * fallback-lock readset subscription and fallback acquirers skip
@@ -155,10 +159,10 @@ struct RunResult
      * checks (key = global name). */
     std::map<std::string, std::vector<std::int64_t>> finalGlobals;
 
-    /** Raw "group.name value" dump of the memory-system and VM stat
-     * groups (cache hits/misses, writebacks, TLB activity, faults,
-     * shootdowns), gem5-stats style. Only populated when
-     * MachineConfig::collectRawStats is set. */
+    /** Raw "mem.name value" / "vm.name value" lines of the
+     * memory-system and VM counters (cache hits/misses, writebacks, TLB
+     * activity, faults, shootdowns), gem5-stats style, in name order.
+     * Only populated when MachineConfig::collectRawStats is set. */
     std::string rawStats;
 
     // Hint-oracle results (MachineConfig::hintOracle only).

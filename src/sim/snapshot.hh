@@ -31,11 +31,19 @@ namespace hintm
 namespace sim
 {
 
-/** Snapshot of one hardware context's runtime state. */
-struct MachineContextSnapshot
+/*
+ * The snapshot rule: a field is snapshotted by being declared in its
+ * component's State. Each component stores its runtime state in exactly
+ * that struct (the machine in ContextState and MachineState below, the
+ * interpreter, HTM controller, memory system, TLBs and allocator in
+ * their own State), so a snapshot is a whole-struct copy and restore
+ * assigns it back before rebuilding derived data.
+ */
+
+/** The machine's own runtime state of one hardware context (its
+ * interpreter and HTM controller keep theirs). */
+struct ContextState
 {
-    tir::ThreadInterp::State interp;
-    htm::HtmController::State htm;
     Cycle readyAt = 0;
     Cycle finishedAt = 0;
     bool done = false;
@@ -43,38 +51,55 @@ struct MachineContextSnapshot
     unsigned retries = 0;
     bool mustFallback = false;
     bool inFallback = false;
+    // Fig. 6 footprints of the in-flight TX, in blocks. Open-addressing
+    // sets: one insert per tracked access makes these hot.
     AddrSet fpAll, fpNoStatic, fpUnsafe;
+    // Journal record of the in-flight TX attempt (journaling only).
     TxRecord rec;
     bool recOpen = false;
     bool recConverted = false;
-    /** In-flight capacity-metrics measurement (metrics configs only). */
+    // Capacity-metrics measurement of the in-flight TX (metrics only).
     TxMetricsCtx mtx;
+};
+
+/** The machine's own machine-wide runtime state. */
+struct MachineState
+{
+    /** Context holding the software fallback lock (-1 = free). */
+    int lockHolder = -1;
+    std::uint64_t shootdownCycles = 0;
+    SharingProfiler profiler;
+    /** Accumulated results so far. Its journal and metrics pointers are
+     * set only when the run is finalized, so they are null here. */
+    RunResult res;
+    /** Scheduler clock and round-robin cursor. */
+    Cycle now = 0;
+    unsigned rr = 0;
+};
+
+/** Snapshot of one hardware context's runtime state. */
+struct MachineContextSnapshot : ContextState
+{
+    tir::ThreadInterp::State interp;
+    htm::HtmController::State htm;
 };
 
 /** Complete machine state at a scheduler boundary. The event-driven
  * scheduler index is deliberately absent: it is state derived entirely
- * from the per-context (done, atBarrier, readyAt) fields below plus
- * now/rr, and the machine rebuilds it on restore(). */
-struct MachineSnapshot
+ * from the per-context (done, atBarrier, readyAt) fields plus now/rr,
+ * and the machine rebuilds it on restore(). */
+struct MachineSnapshot : MachineState
 {
     tir::Program::State program;
     mem::MemorySystem::State mem;
     vm::Vm::State vm;
     std::vector<MachineContextSnapshot> ctxs;
-    int lockHolder = -1;
-    std::uint64_t shootdownCycles = 0;
-    SharingProfiler profiler;
-    /** Accumulated results so far (journal pointer always null here). */
-    RunResult partial;
     /** Journal ring contents (journaling configs only). */
     TxJournal journal;
     bool hasJournal = false;
     /** Metrics registry contents (metrics configs only). */
     MetricsRegistry metrics;
     bool hasMetrics = false;
-    Cycle now = 0;
-    unsigned rr = 0;
-    unsigned numThreads = 0;
     const void *moduleTag = nullptr;
 };
 

@@ -38,7 +38,7 @@ checkJournal(std::vector<TraceViolation> &out, const MachineConfig &cfg,
              const RunResult &r)
 {
     const TxJournal &j = *r.journal;
-    const TxJournal::Totals &t = j.totals();
+    const TxJournal::Totals t = j.totals();
 
     reconcile(out, "hardware commits", t.commits, r.htm.commits);
     reconcile(out, "fallback commits", t.fallbackCommits,

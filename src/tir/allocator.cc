@@ -13,16 +13,17 @@ Allocator::Allocator(unsigned num_arenas)
     HINTM_ASSERT(num_arenas >= 1, "need at least one arena");
     for (unsigned i = 0; i < num_arenas; ++i) {
         const Addr base = layout::arenasBase + Addr(i) * layout::arenaStride;
-        arenas_.push_back(Arena{base, base, base + layout::arenaStride, {}});
+        st_.arenas.push_back(
+            Arena{base, base, base + layout::arenaStride, {}});
     }
 }
 
 Addr
 Allocator::alloc(unsigned arena, std::uint64_t bytes)
 {
-    HINTM_ASSERT(arena < arenas_.size(), "bad arena ", arena);
+    HINTM_ASSERT(arena < st_.arenas.size(), "bad arena ", arena);
     HINTM_ASSERT(bytes > 0, "zero-size allocation");
-    Arena &a = arenas_[arena];
+    Arena &a = st_.arenas[arena];
     const std::uint64_t size = (bytes + 7) & ~std::uint64_t(7);
 
     Addr p = 0;
@@ -36,20 +37,20 @@ Allocator::alloc(unsigned arena, std::uint64_t bytes)
         p = a.bump;
         a.bump += size;
     }
-    live_.emplace(p, Allocation{arena, size});
-    liveBytes_ += size;
+    st_.live.emplace(p, Allocation{arena, size});
+    st_.liveBytes += size;
     return p;
 }
 
 void
 Allocator::release(Addr p)
 {
-    auto it = live_.find(p);
-    HINTM_ASSERT(it != live_.end(), "free of unknown pointer ", p);
+    auto it = st_.live.find(p);
+    HINTM_ASSERT(it != st_.live.end(), "free of unknown pointer ", p);
     const Allocation alloc = it->second;
-    live_.erase(it);
-    liveBytes_ -= alloc.size;
-    arenas_[alloc.arena].freeLists[alloc.size].push_back(p);
+    st_.live.erase(it);
+    st_.liveBytes -= alloc.size;
+    st_.arenas[alloc.arena].freeLists[alloc.size].push_back(p);
     if (onRelease)
         onRelease(p, alloc.size);
 }
@@ -57,8 +58,8 @@ Allocator::release(Addr p)
 std::uint64_t
 Allocator::sizeOf(Addr p) const
 {
-    auto it = live_.find(p);
-    return it == live_.end() ? 0 : it->second.size;
+    auto it = st_.live.find(p);
+    return it == st_.live.end() ? 0 : it->second.size;
 }
 
 } // namespace tir

@@ -42,14 +42,14 @@ class Allocator
     std::uint64_t sizeOf(Addr p) const;
 
     /** Total bytes currently live across all arenas. */
-    std::uint64_t liveBytes() const { return liveBytes_; }
+    std::uint64_t liveBytes() const { return st_.liveBytes; }
 
     /** Optional observer invoked on every release with the freed range
      * (the hint oracle clears shadow state across lifetime boundaries).
      * Purely observational — allocation behavior is unaffected. */
     std::function<void(Addr, std::uint64_t)> onRelease;
 
-    unsigned numArenas() const { return unsigned(arenas_.size()); }
+    unsigned numArenas() const { return unsigned(st_.arenas.size()); }
 
   private:
     struct Arena
@@ -68,7 +68,8 @@ class Allocator
     };
 
   public:
-    /** Full allocator state; arena count must match on load. */
+    /** Full allocator state, and the allocator's only storage for it;
+     * arena count must match on load. */
     struct State
     {
         std::vector<Arena> arenas;
@@ -76,19 +77,11 @@ class Allocator
         std::uint64_t liveBytes = 0;
     };
 
-    State saveState() const { return {arenas_, live_, liveBytes_}; }
-
-    void loadState(const State &s)
-    {
-        arenas_ = s.arenas;
-        live_ = s.live;
-        liveBytes_ = s.liveBytes;
-    }
+    const State &saveState() const { return st_; }
+    void loadState(const State &s) { st_ = s; }
 
   private:
-    std::vector<Arena> arenas_;
-    std::unordered_map<Addr, Allocation> live_;
-    std::uint64_t liveBytes_ = 0;
+    State st_;
 };
 
 } // namespace tir

@@ -82,9 +82,9 @@ Program::globalAddrByName(const std::string &name) const
 
 ThreadInterp::ThreadInterp(Program &prog, ThreadId tid, int entry_func,
                            std::vector<std::int64_t> args)
-    : prog_(prog), tid_(tid), dec_(prog.decoded()),
-      stackPtr_(layout::stackBase(tid))
+    : prog_(prog), tid_(tid), dec_(prog.decoded())
 {
+    st_.stackPtr = layout::stackBase(tid);
     const auto &fns = prog.module().functions;
     HINTM_ASSERT(entry_func >= 0 && entry_func < int(fns.size()),
                  "bad entry function");
@@ -95,17 +95,17 @@ ThreadInterp::ThreadInterp(Program &prog, ThreadId tid, int entry_func,
     f.fn = entry_func;
     f.regBase = 0;
     f.numRegs = fn.numRegs;
-    f.stackOnEntry = stackPtr_;
-    regs_.assign(fn.numRegs, 0);
-    std::copy(args.begin(), args.end(), regs_.begin());
-    frames_.push_back(f);
+    f.stackOnEntry = st_.stackPtr;
+    st_.regs.assign(fn.numRegs, 0);
+    std::copy(args.begin(), args.end(), st_.regs.begin());
+    st_.frames.push_back(f);
 }
 
 const Instr &
 ThreadInterp::currentInstr() const
 {
-    HINTM_ASSERT(!frames_.empty(), "no active frame");
-    const FrameMeta &f = frames_.back();
+    HINTM_ASSERT(!st_.frames.empty(), "no active frame");
+    const FrameMeta &f = st_.frames.back();
     const Function &fn = prog_.module().functions[f.fn];
     HINTM_ASSERT(f.block < int(fn.blocks.size()), "bad block in ",
                  fn.name);
@@ -118,8 +118,8 @@ ThreadInterp::currentInstr() const
 const DecodedOp &
 ThreadInterp::currentDOp() const
 {
-    HINTM_ASSERT(dec_ && !frames_.empty(), "no active decoded frame");
-    const FrameMeta &f = frames_.back();
+    HINTM_ASSERT(dec_ && !st_.frames.empty(), "no active decoded frame");
+    const FrameMeta &f = st_.frames.back();
     return dec_->fns[std::size_t(f.fn)].ops[std::size_t(f.ip)];
 }
 
@@ -141,47 +141,47 @@ ThreadInterp::atBoundary(Opcode op, DOp dop) const
 std::int64_t
 ThreadInterp::reg(int r) const
 {
-    const FrameMeta &f = frames_.back();
+    const FrameMeta &f = st_.frames.back();
     HINTM_ASSERT(r >= 0 && std::uint32_t(r) < f.numRegs,
                  "bad register r", r);
-    return regs_[f.regBase + std::uint32_t(r)];
+    return st_.regs[f.regBase + std::uint32_t(r)];
 }
 
 void
 ThreadInterp::setReg(int r, std::int64_t v)
 {
-    const FrameMeta &f = frames_.back();
+    const FrameMeta &f = st_.frames.back();
     HINTM_ASSERT(r >= 0 && std::uint32_t(r) < f.numRegs,
                  "bad register r", r);
-    regs_[f.regBase + std::uint32_t(r)] = v;
+    st_.regs[f.regBase + std::uint32_t(r)] = v;
 }
 
 void
 ThreadInterp::advance()
 {
-    ++frames_.back().ip;
+    ++st_.frames.back().ip;
 }
 
 void
 ThreadInterp::pushFrame(int fn, std::uint32_t num_regs, int ret_dst,
                         const std::int32_t *arg_regs, std::size_t num_args)
 {
-    const FrameMeta &caller = frames_.back();
+    const FrameMeta &caller = st_.frames.back();
     const std::uint32_t base = caller.regBase + caller.numRegs;
-    if (regs_.size() < base + num_regs)
-        regs_.resize(base + num_regs);
-    std::fill_n(regs_.begin() + base, num_regs, 0);
+    if (st_.regs.size() < base + num_regs)
+        st_.regs.resize(base + num_regs);
+    std::fill_n(st_.regs.begin() + base, num_regs, 0);
     for (std::size_t i = 0; i < num_args; ++i)
-        regs_[base + i] = regs_[caller.regBase +
+        st_.regs[base + i] = st_.regs[caller.regBase +
                                 std::uint32_t(arg_regs[i])];
     FrameMeta nf;
     nf.fn = fn;
     nf.retDst = ret_dst;
     nf.regBase = base;
     nf.numRegs = num_regs;
-    nf.stackOnEntry = stackPtr_;
-    frames_.push_back(nf);
-    HINTM_ASSERT(frames_.size() < 512, "call stack overflow");
+    nf.stackOnEntry = st_.stackPtr;
+    st_.frames.push_back(nf);
+    HINTM_ASSERT(st_.frames.size() < 512, "call stack overflow");
 }
 
 namespace
@@ -216,11 +216,11 @@ Step
 ThreadInterp::next()
 {
     Step st;
-    if (done_) {
+    if (st_.done) {
         st.kind = StepKind::Done;
         return st;
     }
-    HINTM_ASSERT(!memPending_, "next() with unfinished memory access");
+    HINTM_ASSERT(!st_.memPending, "next() with unfinished memory access");
     return dec_ ? nextDec() : nextRef();
 }
 
@@ -233,7 +233,7 @@ ThreadInterp::nextRef()
         // change instead of once per instruction: straight-line opcodes
         // never push/pop frames or leave the block, so the span stays
         // valid while they execute back-to-back.
-        FrameMeta &f = frames_.back();
+        FrameMeta &f = st_.frames.back();
         const Function &fn = prog_.module().functions[f.fn];
         HINTM_ASSERT(f.block < int(fn.blocks.size()), "bad block in ",
                      fn.name);
@@ -244,7 +244,7 @@ ThreadInterp::nextRef()
         while (f.ip < n && isStraightLine(instrs[f.ip].op)) {
             execute(instrs[f.ip]);
             ++st.simpleInstrs;
-            ++instrCount_;
+            ++st_.instrCount;
             HINTM_ASSERT(st.simpleInstrs < 500000000ull,
                          "runaway non-memory loop");
         }
@@ -254,10 +254,10 @@ ThreadInterp::nextRef()
         switch (ins.op) {
           case Opcode::Load:
           case Opcode::Store:
-            pendingAddr_ = Addr(wAdd(reg(ins.a), ins.imm));
-            memPending_ = true;
+            st_.pendingAddr = Addr(wAdd(reg(ins.a), ins.imm));
+            st_.memPending = true;
             st.kind = StepKind::Mem;
-            st.addr = pendingAddr_;
+            st.addr = st_.pendingAddr;
             st.accessType = ins.op == Opcode::Load ? AccessType::Read
                                                    : AccessType::Write;
             st.staticSafe = ins.safe;
@@ -287,8 +287,8 @@ ThreadInterp::nextRef()
             // re-resolve the frame span.
             execute(ins);
             ++st.simpleInstrs;
-            ++instrCount_;
-            if (done_) {
+            ++st_.instrCount;
+            if (st_.done) {
                 st.kind = StepKind::Done;
                 return st;
             }
@@ -304,12 +304,12 @@ ThreadInterp::nextDec()
     // Hot loop. Registers, op stream and program counter live in locals;
     // operand validity was established at decode time, so there are no
     // per-access range asserts here. The locals are reloaded after every
-    // Call/Ret (frames_/regs_ may reallocate).
+    // Call/Ret (frames/regs may reallocate).
     Step st;
-    FrameMeta *f = &frames_.back();
+    FrameMeta *f = &st_.frames.back();
     const DecodedFunction *df = &dec_->fns[std::size_t(f->fn)];
     const DecodedOp *ops = df->ops.data();
-    std::int64_t *R = regs_.data() + f->regBase;
+    std::int64_t *R = st_.regs.data() + f->regBase;
     std::int32_t pc = f->ip;
     std::uint64_t n = 0;
 
@@ -317,7 +317,7 @@ ThreadInterp::nextDec()
         f->ip = pc;
         st.kind = kind;
         st.simpleInstrs += n;
-        instrCount_ += n;
+        st_.instrCount += n;
     };
 
     while (true) {
@@ -433,9 +433,9 @@ ThreadInterp::nextDec()
 
           case DOp::Alloca: {
             const Addr size = (Addr(o.imm) + 7) & ~Addr(7);
-            const Addr base = stackPtr_;
-            stackPtr_ += size;
-            HINTM_ASSERT(stackPtr_ <
+            const Addr base = st_.stackPtr;
+            st_.stackPtr += size;
+            HINTM_ASSERT(st_.stackPtr <
                              layout::stackBase(tid_) + layout::stackStride,
                          "stack overflow on thread ", tid_);
             R[o.dst] = std::int64_t(base);
@@ -447,16 +447,16 @@ ThreadInterp::nextDec()
             HINTM_ASSERT(size > 0, "malloc of non-positive size");
             const Addr p = prog_.allocator().alloc(unsigned(tid_),
                                                    std::uint64_t(size));
-            if (inTx_ && htmMode_)
-                txAllocs_.push_back(p);
+            if (st_.inTx && st_.htmMode)
+                st_.txAllocs.push_back(p);
             R[o.dst] = std::int64_t(p);
             ++n; ++pc;
             break;
           }
           case DOp::Free: {
             const Addr p = Addr(R[o.a]);
-            if (inTx_)
-                deferredFrees_.push_back(p);
+            if (st_.inTx)
+                st_.deferredFrees.push_back(p);
             else
                 prog_.allocator().release(p);
             ++n; ++pc;
@@ -474,12 +474,12 @@ ThreadInterp::nextDec()
 
           case DOp::Load:
           case DOp::Store:
-            pendingAddr_ = Addr(wAdd(R[o.a], o.imm));
-            memPending_ = true;
+            st_.pendingAddr = Addr(wAdd(R[o.a], o.imm));
+            st_.memPending = true;
             pendingDOp_ = &o;
             pendingRegs_ = R;
             flush(StepKind::Mem);
-            st.addr = pendingAddr_;
+            st.addr = st_.pendingAddr;
             st.accessType = o.op == DOp::Load ? AccessType::Read
                                               : AccessType::Write;
             st.staticSafe = o.safe;
@@ -497,12 +497,12 @@ ThreadInterp::nextDec()
             v = wAdd(v, o.imm2);
             R[o.xdst] = v;
             ++n;
-            pendingAddr_ = Addr(wAdd(v, o.ximm));
-            memPending_ = true;
+            st_.pendingAddr = Addr(wAdd(v, o.ximm));
+            st_.memPending = true;
             pendingDOp_ = &o;
             pendingRegs_ = R;
             flush(StepKind::Mem);
-            st.addr = pendingAddr_;
+            st.addr = st_.pendingAddr;
             st.accessType = o.op == DOp::GepLoad ? AccessType::Read
                                                  : AccessType::Write;
             st.staticSafe = o.safe;
@@ -540,10 +540,10 @@ ThreadInterp::nextDec()
                 dec_->fns[std::size_t(o.imm)];
             pushFrame(int(o.imm), callee.numRegs, o.dst,
                       df->argPool.data() + o.argsBegin, o.argsCount);
-            f = &frames_.back();
+            f = &st_.frames.back();
             df = &callee;
             ops = df->ops.data();
-            R = regs_.data() + f->regBase;
+            R = st_.regs.data() + f->regBase;
             pc = 0;
             break;
           }
@@ -551,19 +551,19 @@ ThreadInterp::nextDec()
             ++n;
             const std::int64_t v = o.a >= 0 ? R[o.a] : 0;
             const std::int32_t ret_dst = f->retDst;
-            stackPtr_ = f->stackOnEntry;
-            frames_.pop_back();
-            if (frames_.empty()) {
-                done_ = true;
+            st_.stackPtr = f->stackOnEntry;
+            st_.frames.pop_back();
+            if (st_.frames.empty()) {
+                st_.done = true;
                 st.kind = StepKind::Done;
                 st.simpleInstrs += n;
-                instrCount_ += n;
+                st_.instrCount += n;
                 return st;
             }
-            f = &frames_.back();
+            f = &st_.frames.back();
             df = &dec_->fns[std::size_t(f->fn)];
             ops = df->ops.data();
-            R = regs_.data() + f->regBase;
+            R = st_.regs.data() + f->regBase;
             pc = f->ip;
             if (ret_dst >= 0)
                 R[ret_dst] = v;
@@ -589,13 +589,13 @@ ThreadInterp::nextDec()
             return st;
 
           case DOp::TxSuspend:
-            HINTM_ASSERT(inTx_, "suspend outside TX");
-            suspended_ = true;
+            HINTM_ASSERT(st_.inTx, "suspend outside TX");
+            st_.suspended = true;
             ++n; ++pc;
             break;
           case DOp::TxResume:
-            HINTM_ASSERT(inTx_ && suspended_, "resume without suspend");
-            suspended_ = false;
+            HINTM_ASSERT(st_.inTx && st_.suspended, "resume without suspend");
+            st_.suspended = false;
             ++n; ++pc;
             break;
 
@@ -700,9 +700,9 @@ ThreadInterp::execute(const Instr &ins)
 
       case Opcode::Alloca: {
         const Addr size = (Addr(ins.imm) + 7) & ~Addr(7);
-        const Addr base = stackPtr_;
-        stackPtr_ += size;
-        HINTM_ASSERT(stackPtr_ <
+        const Addr base = st_.stackPtr;
+        st_.stackPtr += size;
+        HINTM_ASSERT(st_.stackPtr <
                          layout::stackBase(tid_) + layout::stackStride,
                      "stack overflow on thread ", tid_);
         setReg(ins.dst, std::int64_t(base));
@@ -714,16 +714,16 @@ ThreadInterp::execute(const Instr &ins)
         HINTM_ASSERT(size > 0, "malloc of non-positive size");
         const Addr p =
             prog_.allocator().alloc(unsigned(tid_), std::uint64_t(size));
-        if (inTx_ && htmMode_)
-            txAllocs_.push_back(p);
+        if (st_.inTx && st_.htmMode)
+            st_.txAllocs.push_back(p);
         setReg(ins.dst, std::int64_t(p));
         advance();
         break;
       }
       case Opcode::Free: {
         const Addr p = Addr(reg(ins.a));
-        if (inTx_)
-            deferredFrees_.push_back(p);
+        if (st_.inTx)
+            st_.deferredFrees.push_back(p);
         else
             prog_.allocator().release(p);
         advance();
@@ -744,14 +744,14 @@ ThreadInterp::execute(const Instr &ins)
         break;
 
       case Opcode::Br: {
-        FrameMeta &f = frames_.back();
+        FrameMeta &f = st_.frames.back();
         f.block = int(ins.imm);
         f.ip = 0;
         break;
       }
       case Opcode::CondBr: {
         const bool taken = reg(ins.a) != 0;
-        FrameMeta &f = frames_.back();
+        FrameMeta &f = st_.frames.back();
         f.block = int(taken ? ins.imm : ins.imm2);
         f.ip = 0;
         break;
@@ -770,11 +770,11 @@ ThreadInterp::execute(const Instr &ins)
       }
       case Opcode::Ret: {
         const std::int64_t v = ins.a >= 0 ? reg(ins.a) : 0;
-        const int ret_dst = frames_.back().retDst;
-        stackPtr_ = frames_.back().stackOnEntry;
-        frames_.pop_back();
-        if (frames_.empty()) {
-            done_ = true;
+        const int ret_dst = st_.frames.back().retDst;
+        st_.stackPtr = st_.frames.back().stackOnEntry;
+        st_.frames.pop_back();
+        if (st_.frames.empty()) {
+            st_.done = true;
         } else if (ret_dst >= 0) {
             setReg(ret_dst, v);
         }
@@ -802,13 +802,13 @@ ThreadInterp::execute(const Instr &ins)
         break;
 
       case Opcode::TxSuspend:
-        HINTM_ASSERT(inTx_, "suspend outside TX");
-        suspended_ = true;
+        HINTM_ASSERT(st_.inTx, "suspend outside TX");
+        st_.suspended = true;
         advance();
         break;
       case Opcode::TxResume:
-        HINTM_ASSERT(inTx_ && suspended_, "resume without suspend");
-        suspended_ = false;
+        HINTM_ASSERT(st_.inTx && st_.suspended, "resume without suspend");
+        st_.suspended = false;
         advance();
         break;
 
@@ -825,13 +825,13 @@ ThreadInterp::execute(const Instr &ins)
 void
 ThreadInterp::completeMem()
 {
-    HINTM_ASSERT(memPending_, "no pending memory access");
+    HINTM_ASSERT(st_.memPending, "no pending memory access");
     if (dec_)
         completeMemDec();
     else
         completeMemRef();
-    memPending_ = false;
-    ++instrCount_;
+    st_.memPending = false;
+    ++st_.instrCount;
     advance();
 }
 
@@ -842,27 +842,28 @@ ThreadInterp::completeMemRef()
     AddressSpace &space = prog_.space();
 
     if (ins.op == Opcode::Load) {
-        if (prog_.validateSafeStores && !staleSafeStores_.empty() &&
-            staleSafeStores_.count(pendingAddr_)) {
-            HINTM_PANIC("read of stale safe-stored location ", pendingAddr_,
+        if (prog_.validateSafeStores && !st_.staleSafeStores.empty() &&
+            st_.staleSafeStores.count(st_.pendingAddr)) {
+            HINTM_PANIC("read of stale safe-stored location ",
+                        st_.pendingAddr,
                         ": safe store was not initializing");
         }
-        setReg(ins.dst, space.read(pendingAddr_));
+        setReg(ins.dst, space.read(st_.pendingAddr));
     } else {
         // One page resolution for the whole store, undo-log read
         // included.
-        std::int64_t *word = space.wordRef(pendingAddr_);
+        std::int64_t *word = space.wordRef(st_.pendingAddr);
         // Suspended-window stores are non-transactional: no undo.
-        if (inTx_ && htmMode_ && !suspended_) {
+        if (st_.inTx && st_.htmMode && !st_.suspended) {
             if (ins.safe) {
                 if (prog_.validateSafeStores)
-                    safeStoreAddrs_.insert(pendingAddr_);
+                    st_.safeStoreAddrs.insert(st_.pendingAddr);
             } else {
-                undoLog_.emplace_back(pendingAddr_, *word);
+                st_.undoLog.emplace_back(st_.pendingAddr, *word);
             }
         }
-        if (prog_.validateSafeStores && !staleSafeStores_.empty())
-            staleSafeStores_.erase(pendingAddr_);
+        if (prog_.validateSafeStores && !st_.staleSafeStores.empty())
+            st_.staleSafeStores.erase(st_.pendingAddr);
         *word = reg(ins.b);
     }
 }
@@ -875,24 +876,25 @@ ThreadInterp::completeMemDec()
     std::int64_t *R = pendingRegs_;
 
     if (o.op == DOp::Load || o.op == DOp::GepLoad) {
-        if (prog_.validateSafeStores && !staleSafeStores_.empty() &&
-            staleSafeStores_.count(pendingAddr_)) {
-            HINTM_PANIC("read of stale safe-stored location ", pendingAddr_,
+        if (prog_.validateSafeStores && !st_.staleSafeStores.empty() &&
+            st_.staleSafeStores.count(st_.pendingAddr)) {
+            HINTM_PANIC("read of stale safe-stored location ",
+                        st_.pendingAddr,
                         ": safe store was not initializing");
         }
-        R[o.dst] = space.read(pendingAddr_);
+        R[o.dst] = space.read(st_.pendingAddr);
     } else {
-        std::int64_t *word = space.wordRef(pendingAddr_);
-        if (inTx_ && htmMode_ && !suspended_) {
+        std::int64_t *word = space.wordRef(st_.pendingAddr);
+        if (st_.inTx && st_.htmMode && !st_.suspended) {
             if (o.safe) {
                 if (prog_.validateSafeStores)
-                    safeStoreAddrs_.insert(pendingAddr_);
+                    st_.safeStoreAddrs.insert(st_.pendingAddr);
             } else {
-                undoLog_.emplace_back(pendingAddr_, *word);
+                st_.undoLog.emplace_back(st_.pendingAddr, *word);
             }
         }
-        if (prog_.validateSafeStores && !staleSafeStores_.empty())
-            staleSafeStores_.erase(pendingAddr_);
+        if (prog_.validateSafeStores && !st_.staleSafeStores.empty())
+            st_.staleSafeStores.erase(st_.pendingAddr);
         // Plain Store keeps the value in `b`; GepStore moved it to `dst`.
         *word = R[o.op == DOp::Store ? o.b : o.dst];
     }
@@ -903,20 +905,20 @@ ThreadInterp::enterTx(bool htm_mode)
 {
     HINTM_ASSERT(atBoundary(Opcode::TxBegin, DOp::TxBegin),
                  "not at TxBegin");
-    HINTM_ASSERT(!inTx_, "nested transaction");
-    inTx_ = true;
-    htmMode_ = htm_mode;
+    HINTM_ASSERT(!st_.inTx, "nested transaction");
+    st_.inTx = true;
+    st_.htmMode = htm_mode;
     if (htm_mode) {
         // Bounded flat copies: frame metadata plus the live register
         // prefix. assign() reuses the checkpoint's capacity across TXs.
-        checkpoint_.frames.assign(frames_.begin(), frames_.end());
-        const FrameMeta &top = frames_.back();
+        st_.checkpoint.frames.assign(st_.frames.begin(), st_.frames.end());
+        const FrameMeta &top = st_.frames.back();
         const std::size_t live = top.regBase + top.numRegs;
-        checkpoint_.regs.assign(regs_.begin(),
-                                regs_.begin() + std::ptrdiff_t(live));
-        checkpoint_.stackPtr = stackPtr_;
+        st_.checkpoint.regs.assign(st_.regs.begin(),
+                                st_.regs.begin() + std::ptrdiff_t(live));
+        st_.checkpoint.stackPtr = st_.stackPtr;
     }
-    ++instrCount_;
+    ++st_.instrCount;
     advance();
 }
 
@@ -924,29 +926,29 @@ void
 ThreadInterp::completeTxEnd()
 {
     HINTM_ASSERT(atBoundary(Opcode::TxEnd, DOp::TxEnd), "not at TxEnd");
-    HINTM_ASSERT(inTx_, "TxEnd outside transaction");
-    for (const Addr p : deferredFrees_)
+    HINTM_ASSERT(st_.inTx, "TxEnd outside transaction");
+    for (const Addr p : st_.deferredFrees)
         prog_.allocator().release(p);
-    deferredFrees_.clear();
-    txAllocs_.clear();
-    undoLog_.clear();
-    safeStoreAddrs_.clear();
-    inTx_ = false;
-    htmMode_ = false;
-    suspended_ = false;
-    ++instrCount_;
+    st_.deferredFrees.clear();
+    st_.txAllocs.clear();
+    st_.undoLog.clear();
+    st_.safeStoreAddrs.clear();
+    st_.inTx = false;
+    st_.htmMode = false;
+    st_.suspended = false;
+    ++st_.instrCount;
     advance();
 }
 
 void
 ThreadInterp::convertToFallback()
 {
-    HINTM_ASSERT(inTx_ && htmMode_, "conversion outside hardware TX");
-    HINTM_ASSERT(!suspended_, "conversion inside escape window");
-    htmMode_ = false;
-    undoLog_.clear();
-    txAllocs_.clear();
-    safeStoreAddrs_.clear();
+    HINTM_ASSERT(st_.inTx && st_.htmMode, "conversion outside hardware TX");
+    HINTM_ASSERT(!st_.suspended, "conversion inside escape window");
+    st_.htmMode = false;
+    st_.undoLog.clear();
+    st_.txAllocs.clear();
+    st_.safeStoreAddrs.clear();
 }
 
 void
@@ -954,7 +956,7 @@ ThreadInterp::passBarrier()
 {
     HINTM_ASSERT(atBoundary(Opcode::Barrier, DOp::Barrier),
                  "not at Barrier");
-    ++instrCount_;
+    ++st_.instrCount;
     advance();
 }
 
@@ -963,97 +965,60 @@ ThreadInterp::passAnnotate()
 {
     HINTM_ASSERT(atBoundary(Opcode::Annotate, DOp::Annotate),
                  "not at Annotate");
-    ++instrCount_;
+    ++st_.instrCount;
     advance();
 }
 
 void
 ThreadInterp::undoStores()
 {
-    for (auto it = undoLog_.rbegin(); it != undoLog_.rend(); ++it)
+    for (auto it = st_.undoLog.rbegin(); it != st_.undoLog.rend(); ++it)
         prog_.space().write(it->first, it->second);
-    undoLog_.clear();
+    st_.undoLog.clear();
 }
 
 void
 ThreadInterp::rollbackToTxBegin()
 {
-    HINTM_ASSERT(inTx_ && htmMode_, "rollback outside hardware TX");
-    HINTM_ASSERT(undoLog_.empty(),
+    HINTM_ASSERT(st_.inTx && st_.htmMode, "rollback outside hardware TX");
+    HINTM_ASSERT(st_.undoLog.empty(),
                  "rollback before the undo hook ran");
     // Restore the live arena prefix; the tail above it is dead (a later
     // Call zero-fills its window before use).
-    frames_.assign(checkpoint_.frames.begin(), checkpoint_.frames.end());
-    std::copy(checkpoint_.regs.begin(), checkpoint_.regs.end(),
-              regs_.begin());
-    stackPtr_ = checkpoint_.stackPtr;
-    for (const Addr p : txAllocs_)
+    st_.frames.assign(st_.checkpoint.frames.begin(),
+                      st_.checkpoint.frames.end());
+    std::copy(st_.checkpoint.regs.begin(), st_.checkpoint.regs.end(),
+              st_.regs.begin());
+    st_.stackPtr = st_.checkpoint.stackPtr;
+    for (const Addr p : st_.txAllocs)
         prog_.allocator().release(p);
-    txAllocs_.clear();
-    deferredFrees_.clear();
+    st_.txAllocs.clear();
+    st_.deferredFrees.clear();
     if (prog_.validateSafeStores) {
-        staleSafeStores_.insert(safeStoreAddrs_.begin(),
-                                safeStoreAddrs_.end());
-        safeStoreAddrs_.clear();
+        st_.staleSafeStores.insert(st_.safeStoreAddrs.begin(),
+                                st_.safeStoreAddrs.end());
+        st_.safeStoreAddrs.clear();
     }
-    memPending_ = false;
-    inTx_ = false;
-    htmMode_ = false;
-    suspended_ = false;
-}
-
-ThreadInterp::State
-ThreadInterp::saveState() const
-{
-    State s;
-    s.frames = frames_;
-    s.regs = regs_;
-    s.stackPtr = stackPtr_;
-    s.done = done_;
-    s.inTx = inTx_;
-    s.htmMode = htmMode_;
-    s.suspended = suspended_;
-    s.checkpoint = checkpoint_;
-    s.undoLog = undoLog_;
-    s.txAllocs = txAllocs_;
-    s.deferredFrees = deferredFrees_;
-    s.safeStoreAddrs = safeStoreAddrs_;
-    s.staleSafeStores = staleSafeStores_;
-    s.memPending = memPending_;
-    s.pendingAddr = pendingAddr_;
-    s.instrCount = instrCount_;
-    return s;
+    st_.memPending = false;
+    st_.inTx = false;
+    st_.htmMode = false;
+    st_.suspended = false;
 }
 
 void
 ThreadInterp::loadState(const State &s)
 {
-    frames_ = s.frames;
-    regs_ = s.regs;
-    stackPtr_ = s.stackPtr;
-    done_ = s.done;
-    inTx_ = s.inTx;
-    htmMode_ = s.htmMode;
-    suspended_ = s.suspended;
-    checkpoint_ = s.checkpoint;
-    undoLog_ = s.undoLog;
-    txAllocs_ = s.txAllocs;
-    deferredFrees_ = s.deferredFrees;
-    safeStoreAddrs_ = s.safeStoreAddrs;
-    staleSafeStores_ = s.staleSafeStores;
-    memPending_ = s.memPending;
-    pendingAddr_ = s.pendingAddr;
-    instrCount_ = s.instrCount;
+    st_ = s;
     // Re-derive the decoded-path boundary memos from the top frame: at a
     // Mem boundary the frame's ip points at the pending op (flush stored
     // it before next() returned) and the register window base is part of
     // FrameMeta.
     pendingDOp_ = nullptr;
     pendingRegs_ = nullptr;
-    if (memPending_ && dec_) {
-        const FrameMeta &f = frames_.back();
+    if (st_.memPending && dec_) {
+        const FrameMeta &f = st_.frames.back();
         pendingDOp_ = &dec_->fns[std::size_t(f.fn)].ops[std::size_t(f.ip)];
-        pendingRegs_ = regs_.data() + f.regBase;
+        pendingRegs_ = st_.regs.data() + f.regBase;
     }
 }
 

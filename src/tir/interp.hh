@@ -16,10 +16,11 @@
  *    decoded path is cross-checked against (DecodeCacheEquivalence).
  *
  * Thread state lives in a flat frame arena: one contiguous register file
- * (`regs_`) plus a stack of trivially-copyable FrameMeta records. Call is
- * a bump-pointer push into the arena (no allocation on the steady state)
- * and the TxBegin checkpoint/rollback is a bounded copy of the live arena
- * prefix instead of a deep copy of nested per-frame vectors.
+ * (`State::regs`) plus a stack of trivially-copyable FrameMeta records.
+ * Call is a bump-pointer push into the arena (no allocation on the
+ * steady state) and the TxBegin checkpoint/rollback is a bounded copy of
+ * the live arena prefix instead of a deep copy of nested per-frame
+ * vectors.
  *
  * Transactional semantics are split: this layer provides functional
  * checkpoint/rollback (registers, stack, heap allocations, store undo
@@ -208,15 +209,15 @@ class ThreadInterp
      */
     void rollbackToTxBegin();
 
-    bool done() const { return done_; }
+    bool done() const { return st_.done; }
     ThreadId tid() const { return tid_; }
-    bool inTx() const { return inTx_; }
-    bool htmMode() const { return htmMode_; }
+    bool inTx() const { return st_.inTx; }
+    bool htmMode() const { return st_.htmMode; }
     /** Inside a suspend/resume escape window (accesses untracked). */
-    bool suspended() const { return suspended_; }
+    bool suspended() const { return st_.suspended; }
 
     /** Total instructions executed (all kinds). */
-    std::uint64_t instrCount() const { return instrCount_; }
+    std::uint64_t instrCount() const { return st_.instrCount; }
 
   private:
     /**
@@ -240,20 +241,23 @@ class ThreadInterp
     struct Checkpoint
     {
         std::vector<FrameMeta> frames;
-        /** Live arena prefix: regs_[0 .. frames.back() live window). */
+        /** Live arena prefix: regs[0 .. frames.back() live window). */
         std::vector<std::int64_t> regs;
         Addr stackPtr = 0;
     };
 
   public:
     /**
-     * Complete thread state at a scheduler boundary. The two decoded-path
-     * convenience pointers (pendingDOp_/pendingRegs_) are derived from
-     * the top frame on load rather than captured.
+     * Complete thread state at a scheduler boundary, and the thread's
+     * only storage for it: a field declared here is snapshotted. The
+     * two decoded-path convenience pointers (pendingDOp_/pendingRegs_)
+     * are derived from the top frame on load rather than captured.
      */
     struct State
     {
         std::vector<FrameMeta> frames;
+        /** Flat register arena; frame windows stacked bottom-up. Never
+         * shrinks — a frame pop just lowers the live prefix. */
         std::vector<std::int64_t> regs;
         Addr stackPtr = 0;
         bool done = false;
@@ -261,17 +265,24 @@ class ThreadInterp
         bool htmMode = false;
         bool suspended = false;
         Checkpoint checkpoint;
+        /** (address, previous value) of tracked transactional stores. */
         std::vector<std::pair<Addr, std::int64_t>> undoLog;
+        /** Heap allocations made inside the active TX (freed on abort). */
         std::vector<Addr> txAllocs;
+        /** Frees requested inside the active TX (applied at commit). */
         std::vector<Addr> deferredFrees;
+        /** Targets of safe stores in the current TX (validation mode
+         * only). */
         std::unordered_set<Addr> safeStoreAddrs;
+        /** Safe-store targets of an aborted TX awaiting
+         * re-initialization (validation mode only). */
         std::unordered_set<Addr> staleSafeStores;
         bool memPending = false;
         Addr pendingAddr = 0;
         std::uint64_t instrCount = 0;
     };
 
-    State saveState() const;
+    const State &saveState() const { return st_; }
 
     /** Restore a state captured from an identically-constructed thread
      * (same program/tid/entry). */
@@ -301,31 +312,7 @@ class ThreadInterp
     ThreadId tid_;
     /** Decoded image (null = reference path). */
     const DecodedModule *dec_;
-    std::vector<FrameMeta> frames_;
-    /** Flat register arena; frame windows stacked bottom-up. Never
-     * shrinks — a frame pop just lowers the live prefix. */
-    std::vector<std::int64_t> regs_;
-    Addr stackPtr_;
-    bool done_ = false;
-
-    bool inTx_ = false;
-    bool htmMode_ = false;
-    bool suspended_ = false;
-    Checkpoint checkpoint_;
-    /** (address, previous value) of tracked transactional stores. */
-    std::vector<std::pair<Addr, std::int64_t>> undoLog_;
-    /** Heap allocations made inside the active TX (freed on abort). */
-    std::vector<Addr> txAllocs_;
-    /** Frees requested inside the active TX (applied at commit). */
-    std::vector<Addr> deferredFrees_;
-    /** Targets of safe stores in the current TX (validation mode only). */
-    std::unordered_set<Addr> safeStoreAddrs_;
-    /** Safe-store targets of an aborted TX awaiting re-initialization
-     * (validation mode only). */
-    std::unordered_set<Addr> staleSafeStores_;
-
-    bool memPending_ = false;
-    Addr pendingAddr_ = 0;
+    State st_;
     /** Decoded path: the op of the pending access plus its register
      * window, cached at the boundary so completeMem() skips the
      * frame/function lookup chain. Stable between next() and
@@ -333,8 +320,6 @@ class ThreadInterp
      * access is outstanding. */
     const DecodedOp *pendingDOp_ = nullptr;
     std::int64_t *pendingRegs_ = nullptr;
-
-    std::uint64_t instrCount_ = 0;
 };
 
 } // namespace tir

@@ -21,33 +21,33 @@ Tlb::lookup(Addr page_num, PageState *state_out)
 Tlb::Entry *
 Tlb::lookupEntry(Addr page_num)
 {
-    auto it = entries_.find(page_num);
-    if (it == entries_.end())
+    auto it = st_.entries.find(page_num);
+    if (it == st_.entries.end())
         return nullptr;
-    it->second.lruStamp = ++clock_;
+    it->second.lruStamp = ++st_.clock;
     return &it->second;
 }
 
 Tlb::Entry *
 Tlb::insert(Addr page_num, PageState state)
 {
-    auto it = entries_.find(page_num);
-    if (it != entries_.end()) {
+    auto it = st_.entries.find(page_num);
+    if (it != st_.entries.end()) {
         it->second.state = state;
-        it->second.lruStamp = ++clock_;
+        it->second.lruStamp = ++st_.clock;
         notifyEvict(page_num); // cached derivations are stale
         return &it->second;
     }
-    if (entries_.size() >= capacity_)
+    if (st_.entries.size() >= capacity_)
         evictLru();
-    return &entries_.emplace(page_num, Entry{state, ++clock_})
+    return &st_.entries.emplace(page_num, Entry{state, ++st_.clock})
                 .first->second;
 }
 
 bool
 Tlb::invalidate(Addr page_num)
 {
-    if (entries_.erase(page_num) == 0)
+    if (st_.entries.erase(page_num) == 0)
         return false;
     notifyEvict(page_num);
     return true;
@@ -56,8 +56,8 @@ Tlb::invalidate(Addr page_num)
 void
 Tlb::updateState(Addr page_num, PageState state)
 {
-    auto it = entries_.find(page_num);
-    if (it != entries_.end()) {
+    auto it = st_.entries.find(page_num);
+    if (it != st_.entries.end()) {
         it->second.state = state;
         notifyEvict(page_num);
     }
@@ -66,14 +66,14 @@ Tlb::updateState(Addr page_num, PageState state)
 void
 Tlb::evictLru()
 {
-    HINTM_ASSERT(!entries_.empty(), "evicting from empty TLB");
-    auto victim = entries_.begin();
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+    HINTM_ASSERT(!st_.entries.empty(), "evicting from empty TLB");
+    auto victim = st_.entries.begin();
+    for (auto it = st_.entries.begin(); it != st_.entries.end(); ++it) {
         if (it->second.lruStamp < victim->second.lruStamp)
             victim = it;
     }
     const Addr page = victim->first;
-    entries_.erase(victim);
+    st_.entries.erase(victim);
     notifyEvict(page);
 }
 

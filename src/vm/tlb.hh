@@ -42,7 +42,7 @@ class Tlb
 
     /** Refresh an entry's LRU stamp without re-finding it — lets a
      * higher-level memo keep this TLB's replacement behavior exact. */
-    void touch(Entry *e) { e->lruStamp = ++clock_; }
+    void touch(Entry *e) { e->lruStamp = ++st_.clock; }
 
     /** Install (or refresh) a translation with its safety state.
      * @return the (stable) entry node. */
@@ -67,28 +67,25 @@ class Tlb
     /** Presence probe without LRU effects. */
     bool contains(Addr page_num) const
     {
-        return entries_.count(page_num) != 0;
+        return st_.entries.count(page_num) != 0;
     }
 
-    std::size_t size() const { return entries_.size(); }
+    std::size_t size() const { return st_.entries.size(); }
     unsigned capacity() const { return capacity_; }
 
-    /** Exact TLB contents including LRU stamps and the clock. */
+    /** Exact TLB contents including LRU stamps and the clock: the TLB's
+     * only storage for them. */
     struct State
     {
         std::uint64_t clock = 0;
         std::unordered_map<Addr, Entry> entries;
     };
 
-    State saveState() const { return {clock_, entries_}; }
+    const State &saveState() const { return st_; }
 
     /** Restore contents. Keeps the evict observer; invalidates any Entry
      * pointers previously handed out (callers re-derive their memos). */
-    void loadState(const State &s)
-    {
-        clock_ = s.clock;
-        entries_ = s.entries;
-    }
+    void loadState(const State &s) { st_ = s; }
 
   private:
     void evictLru();
@@ -101,8 +98,7 @@ class Tlb
     }
 
     unsigned capacity_;
-    std::uint64_t clock_ = 0;
-    std::unordered_map<Addr, Entry> entries_;
+    State st_;
     std::function<void(Addr)> evictObserver_;
 };
 

@@ -9,15 +9,20 @@ namespace hintm
 namespace vm
 {
 
+void
+VmStats::dump(std::ostream &os) const
+{
+    os << "vm.minor_faults " << minorFaults << "\n"
+       << "vm.shootdown_slaves " << shootdownSlaves << "\n"
+       << "vm.tlb_hits " << tlbHits << "\n"
+       << "vm.tlb_misses " << tlbMisses << "\n"
+       << "vm.unsafe_transitions " << unsafeTransitions << "\n";
+}
+
 Vm::Vm(const VmConfig &cfg)
     : cfg_(cfg), pt_(std::make_unique<PageTable>(cfg.preserveReadOnly)),
       fastEnabled_(cfg.translationCache)
 {
-    cTlbHits_ = &stats_.counter("tlb_hits");
-    cTlbMisses_ = &stats_.counter("tlb_misses");
-    cMinorFaults_ = &stats_.counter("minor_faults");
-    cUnsafeTransitions_ = &stats_.counter("unsafe_transitions");
-    cShootdownSlaves_ = &stats_.counter("shootdown_slaves");
 }
 
 int
@@ -89,7 +94,7 @@ Vm::translate(int ctx, ThreadId tid, Addr addr, AccessType type)
         Tlb::Entry *e = tlb.lookupEntry(res.pageNum);
         PageState cached_state;
         if (!e) {
-            ++*cTlbMisses_;
+            ++stats_.tlbMisses;
             res.cost += cfg_.pageWalkCycles;
             cached_state = pt_->hasAnnotations() &&
                                    pt_->stateOf(addr) ==
@@ -98,7 +103,7 @@ Vm::translate(int ctx, ThreadId tid, Addr addr, AccessType type)
                                : PageState::SharedRw;
             e = tlb.insert(res.pageNum, cached_state);
         } else {
-            ++*cTlbHits_;
+            ++stats_.tlbHits;
             cached_state = e->state;
         }
         fillClassEntry(ctx, res.pageNum, cached_state, e);
@@ -116,7 +121,7 @@ Vm::translate(int ctx, ThreadId tid, Addr addr, AccessType type)
     // Private* entry implies this context's thread owns the page.
     Tlb::Entry *hit = tlb.lookupEntry(res.pageNum);
     if (hit) {
-        ++*cTlbHits_;
+        ++stats_.tlbHits;
         const PageState cached = hit->state;
         const bool is_write = type == AccessType::Write;
         const bool transitions =
@@ -129,7 +134,7 @@ Vm::translate(int ctx, ThreadId tid, Addr addr, AccessType type)
             return res;
         }
     } else {
-        ++*cTlbMisses_;
+        ++stats_.tlbMisses;
         res.cost += cfg_.pageWalkCycles;
     }
 
@@ -137,12 +142,12 @@ Vm::translate(int ctx, ThreadId tid, Addr addr, AccessType type)
     const PageTransition tr = pt_->touch(tid, addr, type);
 
     if (tr.minorFault) {
-        ++*cMinorFaults_;
+        ++stats_.minorFaults;
         res.cost += cfg_.minorFaultCycles;
     }
 
     if (tr.becameUnsafe) {
-        ++*cUnsafeTransitions_;
+        ++stats_.unsafeTransitions;
         res.becameUnsafe = true;
         res.cost += cfg_.shootdownInitiatorCycles;
         // Shoot down every remote TLB caching the stale translation.
@@ -150,7 +155,7 @@ Vm::translate(int ctx, ThreadId tid, Addr addr, AccessType type)
             if (c == ctx)
                 continue;
             if (tlbs_[c]->invalidate(res.pageNum)) {
-                ++*cShootdownSlaves_;
+                ++stats_.shootdownSlaves;
                 res.slaveCosts.emplace_back(
                     c, cfg_.shootdownSlaveCycles);
             }
@@ -179,7 +184,7 @@ Vm::saveState() const
     s.tlbs.reserve(tlbs_.size());
     for (const auto &tlb : tlbs_)
         s.tlbs.push_back(tlb->saveState());
-    s.stats = stats_.values();
+    s.stats = stats_;
     return s;
 }
 
@@ -197,7 +202,7 @@ Vm::loadState(const State &s)
         std::fill(classCaches_[c].begin(), classCaches_[c].end(),
                   ClassEntry{});
     }
-    stats_.setValues(s.stats);
+    stats_ = s.stats;
 }
 
 } // namespace vm

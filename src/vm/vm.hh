@@ -19,9 +19,9 @@
 #define HINTM_VM_VM_HH
 
 #include <memory>
+#include <ostream>
 #include <vector>
 
-#include "common/stats.hh"
 #include "common/types.hh"
 #include "vm/page_table.hh"
 #include "vm/tlb.hh"
@@ -49,6 +49,20 @@ struct VmConfig
     /** Enable the per-context translation/classification memo
      * (translateFast). Off = reference path for cross-checking. */
     bool translationCache = true;
+};
+
+/** VM event counters. */
+struct VmStats
+{
+    std::uint64_t minorFaults = 0;
+    std::uint64_t shootdownSlaves = 0;
+    std::uint64_t tlbHits = 0;
+    std::uint64_t tlbMisses = 0;
+    std::uint64_t unsafeTransitions = 0;
+
+    /** One "vm.<name> <value>" line per counter, in name order (the
+     * RunResult::rawStats format). */
+    void dump(std::ostream &os) const;
 };
 
 /** Result of translating (and safety-classifying) one access. */
@@ -110,7 +124,7 @@ class Vm
         const bool is_write = type == AccessType::Write;
         if (is_write && !e.writeOk)
             return false; // write would transition the page: slow path
-        ++*cTlbHits_;
+        ++stats_.tlbHits;
         tlbs_[ctx]->touch(e.tlbEntry);
         res.pageNum = page;
         res.safeRead = !is_write && e.readSafe;
@@ -129,10 +143,10 @@ class Vm
     PageTable &pageTable() { return *pt_; }
     const VmConfig &config() const { return cfg_; }
 
-    stats::StatGroup &statGroup() { return stats_; }
+    const VmStats &stats() const { return stats_; }
 
     /**
-     * Page table, per-context TLB images and stat values. The
+     * Page table, per-context TLB images and the counters. The
      * classification memo is deliberately not captured: loadState()
      * clears it, and a cleared memo is behavior-neutral (a miss falls
      * back to translate(), which produces the identical result — the
@@ -142,7 +156,7 @@ class Vm
     {
         PageTable pageTable;
         std::vector<Tlb::State> tlbs;
-        stats::StatGroup::Values stats;
+        VmStats stats;
     };
 
     State saveState() const;
@@ -171,14 +185,7 @@ class Vm
     std::vector<std::unique_ptr<Tlb>> tlbs_;
     std::vector<std::vector<ClassEntry>> classCaches_;
     bool fastEnabled_;
-    stats::StatGroup stats_{"vm"};
-
-    // Hot counters, resolved once instead of by-name per access.
-    stats::Counter *cTlbHits_;
-    stats::Counter *cTlbMisses_;
-    stats::Counter *cMinorFaults_;
-    stats::Counter *cUnsafeTransitions_;
-    stats::Counter *cShootdownSlaves_;
+    VmStats stats_;
 };
 
 } // namespace vm

@@ -47,6 +47,12 @@ BAD += [
     ("hintm_run", ["--tiny", "--threads", "9"]),
     ("hintm_run", ["--tiny", "--numa-nodes", "0"]),
     ("hintm_run", ["--htm", "p9"]),
+    # 64 hardware contexts (cores, and threads) is the machine limit.
+    ("hintm_run", ["--tiny", "--workload", "kmeans", "--cores", "80",
+                   "--threads", "72"]),
+    ("hintm_run", ["--tiny", "--workload", "kmeans", "--cores", "65"]),
+    ("hintm_run", ["--tiny", "--workload", "kmeans", "--cores", "64",
+                   "--smt", "2", "--threads", "65"]),
     ("hintm_profile", ["--tiny", "--threads", "9"]),
     ("hintm_report", ["--tiny", "--threads", "9"]),
     ("hintm_explore", ["--workload", "nosuch"]),

@@ -141,17 +141,6 @@ TEST(Rng, ChanceRoughlyCalibrated)
     EXPECT_NEAR(hits, 2500, 200);
 }
 
-TEST(Stats, CounterBasics)
-{
-    stats::Counter c;
-    EXPECT_EQ(c.value(), 0u);
-    ++c;
-    c += 5;
-    EXPECT_EQ(c.value(), 6u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-}
-
 TEST(Stats, DistributionMoments)
 {
     stats::Distribution d(1, 64);
@@ -192,27 +181,6 @@ TEST(Stats, DistributionBucketWidth)
     d.sample(95);
     EXPECT_NEAR(d.cdfAt(9), 1.0 / 3, 1e-9);
     EXPECT_NEAR(d.cdfAt(19), 2.0 / 3, 1e-9);
-}
-
-TEST(Stats, GroupDump)
-{
-    stats::StatGroup g("top");
-    ++g.counter("hits");
-    g.counter("misses") += 3;
-    stats::StatGroup child("sub");
-    ++child.counter("x");
-    g.addChild(&child);
-
-    std::ostringstream os;
-    g.dump(os);
-    const std::string s = os.str();
-    EXPECT_NE(s.find("top.hits 1"), std::string::npos);
-    EXPECT_NE(s.find("top.misses 3"), std::string::npos);
-    EXPECT_NE(s.find("top.sub.x 1"), std::string::npos);
-
-    g.reset();
-    EXPECT_EQ(g.counter("hits").value(), 0u);
-    EXPECT_EQ(child.counter("x").value(), 0u);
 }
 
 TEST(Table, PctRendersSignedFractions)

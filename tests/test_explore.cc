@@ -358,9 +358,8 @@ TEST(ExplorerDpor, PrunesSchedulesWithoutLosingViolations)
 TEST(ExplorerJobs, ParallelMatchesSequential)
 {
     sim::ExploreOptions opt;
-    opt.preemptionBound = 1; // stay under maxSchedules: a binding cap
-                             // makes *which* branches get dropped
-                             // depend on worker arrival order
+    opt.preemptionBound = 1; // under maxSchedules; the binding-cap
+                             // case is BindingCapMatchesSequential
     const sim::MachineConfig cfg =
         core::makeMachineConfig(convoyOptions());
     workloads::Workload wl =
@@ -375,6 +374,44 @@ TEST(ExplorerJobs, ParallelMatchesSequential)
     EXPECT_EQ(seq.branchPoints, par.branchPoints);
     EXPECT_EQ(seq.branchesPruned, par.branchesPruned);
     EXPECT_EQ(fatalKinds(seq), fatalKinds(par));
+}
+
+/** A binding schedule cap is charged in branch order at the merge, so
+ * which branches it drops does not depend on the job count either: the
+ * whole report, issues included, matches the sequential exploration. */
+TEST(ExplorerJobs, BindingCapMatchesSequential)
+{
+    sim::ExploreOptions opt;
+    opt.preemptionBound = 2;
+    opt.maxSchedules = 96;
+    sim::MachineConfig cfg = core::makeMachineConfig(convoyOptions());
+    cfg.unsafeLazySubscription = true;
+    workloads::Workload wl =
+        workloads::buildConvoy(workloads::Scale::Tiny, 0);
+
+    const sim::ExploreReport seq =
+        sim::exploreSchedules(cfg, wl.module, wl.threads, opt);
+    ASSERT_EQ(seq.schedulesRun, opt.maxSchedules);
+    ASSERT_GT(seq.branchesCapped, 0u);
+    for (const unsigned jobs : {2u, 4u}) {
+        opt.jobs = jobs;
+        const sim::ExploreReport par =
+            sim::exploreSchedules(cfg, wl.module, wl.threads, opt);
+        EXPECT_EQ(seq.schedulesRun, par.schedulesRun) << jobs;
+        EXPECT_EQ(seq.branchPoints, par.branchPoints) << jobs;
+        EXPECT_EQ(seq.branchesPruned, par.branchesPruned) << jobs;
+        EXPECT_EQ(seq.branchesCapped, par.branchesCapped) << jobs;
+        EXPECT_EQ(seq.snapshotForks, par.snapshotForks) << jobs;
+        ASSERT_EQ(seq.issues.size(), par.issues.size()) << jobs;
+        for (std::size_t i = 0; i < seq.issues.size(); ++i) {
+            EXPECT_EQ(seq.issues[i].plan, par.issues[i].plan) << jobs;
+            EXPECT_EQ(seq.issues[i].violation.kind,
+                      par.issues[i].violation.kind)
+                << jobs;
+            EXPECT_EQ(seq.issues[i].decisions, par.issues[i].decisions)
+                << jobs;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -353,3 +353,69 @@ INSTANTIATE_TEST_SUITE_P(
             id += std::isalnum(static_cast<unsigned char>(c)) ? c : '_';
         return id;
     });
+
+namespace
+{
+
+/** Raw memory/VM statistics of one Tiny run (hints on). */
+std::string
+rawStatsOf(const std::string &workload, K kind, unsigned cores,
+           unsigned numa_nodes)
+{
+    workloads::Workload wl =
+        workloads::byName(workload, workloads::Scale::Tiny);
+    core::compileHints(wl.module);
+    core::SystemOptions o;
+    o.htmKind = kind;
+    o.mechanism = M::Full;
+    o.numCores = cores;
+    o.numaNodes = numa_nodes;
+    o.collectRawStats = true;
+    return core::simulate(o, wl.module, wl.threads).rawStats;
+}
+
+} // namespace
+
+// The exact `hintm_run --stats` text (perfbench parses these lines):
+// every counter, in this order, with these values.
+TEST(GoldenRawStats, KmeansP8EightContexts)
+{
+    EXPECT_EQ(rawStatsOf("kmeans", K::P8, 8, 1),
+              "mem.invalidations 634\n"
+              "mem.l1_evictions 0\n"
+              "mem.l1_hits 20911\n"
+              "mem.l1_misses 803\n"
+              "mem.l2_hits 662\n"
+              "mem.l2_misses 141\n"
+              "mem.numa_remote 0\n"
+              "mem.reads 20021\n"
+              "mem.upgrades 571\n"
+              "mem.writebacks 565\n"
+              "mem.writes 1693\n"
+              "vm.minor_faults 0\n"
+              "vm.shootdown_slaves 7\n"
+              "vm.tlb_hits 21266\n"
+              "vm.tlb_misses 31\n"
+              "vm.unsafe_transitions 1\n");
+}
+
+TEST(GoldenRawStats, IntruderL1tmSixtyFourContextsNuma)
+{
+    EXPECT_EQ(rawStatsOf("intruder@64", K::L1TM, 64, 4),
+              "mem.invalidations 1527\n"
+              "mem.l1_evictions 0\n"
+              "mem.l1_hits 2469\n"
+              "mem.l1_misses 2746\n"
+              "mem.l2_hits 1702\n"
+              "mem.l2_misses 1044\n"
+              "mem.numa_remote 2252\n"
+              "mem.reads 3482\n"
+              "mem.upgrades 289\n"
+              "mem.writebacks 444\n"
+              "mem.writes 1733\n"
+              "vm.minor_faults 1\n"
+              "vm.shootdown_slaves 75\n"
+              "vm.tlb_hits 3482\n"
+              "vm.tlb_misses 346\n"
+              "vm.unsafe_transitions 4\n");
+}

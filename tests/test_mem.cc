@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <vector>
 
 #include "mem/cache_array.hh"
@@ -329,7 +330,7 @@ TEST(MemSystem, DirtyPeerSuppliesAndL2Catches)
     ms.access(c0, 0x40, AccessType::Write); // M in c0
     ms.access(c1, 0x40, AccessType::Read);  // c0 downgrades, wb to L2
     EXPECT_EQ(ms.probeL1(c0, 0x40)->state, CoherState::Shared);
-    EXPECT_GE(ms.statGroup().counter("writebacks").value(), 1u);
+    EXPECT_GE(ms.stats().writebacks, 1u);
 }
 
 // ---- directory: sharer/owner-state maintenance ---------------------
@@ -579,7 +580,7 @@ TEST(Numa, FlatConfigChargesNoPenalty)
     const ContextId c0 = ms.addContext(0);
     const auto r = ms.access(c0, 0x1000, AccessType::Read);
     EXPECT_EQ(r.latency, 3u + 12u + 100u);
-    EXPECT_EQ(ms.statGroup().counter("numa_remote").value(), 0u);
+    EXPECT_EQ(ms.stats().numaRemote, 0u);
 }
 
 TEST(Numa, RemoteHomeMissPaysExtra)
@@ -602,7 +603,7 @@ TEST(Numa, RemoteHomeMissPaysExtra)
     EXPECT_EQ(r.latency, 3u + 12u + 100u); // local to c2's node
     r = ms.access(c2, 128, AccessType::Read); // block 2 -> node 0: remote
     EXPECT_EQ(r.latency, 3u + 12u + 100u + 24u);
-    EXPECT_EQ(ms.statGroup().counter("numa_remote").value(), 1u);
+    EXPECT_EQ(ms.stats().numaRemote, 1u);
 }
 
 TEST(Numa, UpgradePaysRemotePenaltyAndL1HitsDoNot)
@@ -767,9 +768,8 @@ TEST(Directory, FilteredAndBroadcastDeliverIdenticalEventTraces)
         }
         EXPECT_EQ(lsOn[i].evictions, lsOff[i].evictions);
     }
-    for (const auto &[name, ctr] : msOn.statGroup().counters()) {
-        EXPECT_EQ(ctr.value(),
-                  msOff.statGroup().counter(name).value())
-            << "counter " << name;
-    }
+    std::ostringstream statsOn, statsOff;
+    msOn.stats().dump(statsOn);
+    msOff.stats().dump(statsOff);
+    EXPECT_EQ(statsOn.str(), statsOff.str());
 }

@@ -215,14 +215,14 @@ TEST(Vm, FastPathSkipsWalkOnStableStates)
     Vm vm(VmConfig{});
     const int c = vm.addContext();
     vm.translate(c, 0, pageA, AccessType::Read);
-    const auto before = vm.statGroup().counter("tlb_hits").value();
+    const auto before = vm.stats().tlbHits;
     // Repeated reads of a private-ro page hit the TLB fast path.
     for (int i = 0; i < 5; ++i) {
         const auto r = vm.translate(c, 0, pageA, AccessType::Read);
         EXPECT_TRUE(r.safeRead);
         EXPECT_EQ(r.cost, 0u);
     }
-    EXPECT_EQ(vm.statGroup().counter("tlb_hits").value(), before + 5);
+    EXPECT_EQ(vm.stats().tlbHits, before + 5);
 }
 
 TEST(Vm, BenignTransitionUpdatesRemoteTlbInPlace)
@@ -273,7 +273,7 @@ TEST(Vm, TranslateFastHitMatchesTranslateAndCountsAsTlbHit)
     Vm vm(VmConfig{});
     const int c = vm.addContext();
     vm.translate(c, 0, pageA, AccessType::Read); // fill TLB + memo
-    const auto before = vm.statGroup().counter("tlb_hits").value();
+    const auto before = vm.stats().tlbHits;
 
     TranslateResult fast;
     ASSERT_TRUE(vm.translateFast(c, pageA + 64, AccessType::Read, fast));
@@ -283,7 +283,7 @@ TEST(Vm, TranslateFastHitMatchesTranslateAndCountsAsTlbHit)
     EXPECT_EQ(fast.cost, 0u);
     EXPECT_EQ(fast.pageNum, slow.pageNum);
     // Both paths bill the same counter.
-    EXPECT_EQ(vm.statGroup().counter("tlb_hits").value(), before + 2);
+    EXPECT_EQ(vm.stats().tlbHits, before + 2);
 }
 
 TEST(Vm, TranslateFastMissesOnColdAndTransitioningAccesses)
